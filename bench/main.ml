@@ -231,11 +231,12 @@ let test_flat_tag_lookup =
             (Sys.opaque_identity
                (Machine.tag m ~node:(!i land 1023) (b0 + (!i land 1023))))))
 
-let test_sharded_directory_hit =
+let test_directory_hit =
   Test.make ~name:"micro-sharded-directory-hit"
     (Staged.stage
-       (* Directory lookups with 1024 blocks spread across all 64 homes, so
-          hits land in every shard of the sharded directory. *)
+       (* Directory lookups over 1024 blocks spread across all 64 homes of
+          the flat directory.  The name predates the removal of directory
+          shards; it is kept so BENCH.json comparisons line up. *)
        (let m = Machine.create (Machine.default_config ~num_nodes:64 ~block_bytes:32 ()) in
         let wpb = Machine.words_per_block m in
         let blocks =
@@ -391,7 +392,7 @@ let tests =
       test_aggregate_addr;
       test_read_range;
       test_flat_tag_lookup;
-      test_sharded_directory_hit;
+      test_directory_hit;
       test_phase_step_1024;
       test_presend_cached_sort;
       test_rdist_record;

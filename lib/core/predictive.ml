@@ -97,9 +97,8 @@ let record t ~node b ~write =
    (source, destination) pair exchanges one gather message: runs of
    neighbouring blocks share an 8-byte address header, so contiguity still
    pays.  With coalescing off (ablation), every block travels alone.  Keys
-   are flushed in globally sorted order, so the same queue contents produce
-   the same messages and charges whether the queues were built by one
-   sequential scan or merged from per-shard plans. *)
+   are flushed in sorted order, so output does not depend on hash-table
+   order. *)
 let flush_presend t ~recall ~inval ~data ~grant_only =
   let m = t.machine in
   let net = Machine.net m in
@@ -189,147 +188,10 @@ let push q key b =
 let bump q key =
   match Hashtbl.find_opt q key with Some r -> incr r | None -> Hashtbl.add q key (ref 1)
 
-(* -- event-sharded presend (the parallel step loop) ----------------------- *)
-
-(* One shard's slice of a presend scan.  The planning domain applies the
-   shard-exclusive effects directly — tags and directory entries of the
-   shard's blocks, Presend-bucket charges at the shard's home nodes — and
-   defers everything whose target is not confined to the shard: per-node
-   invalidation/downgrade counters (a reader being invalidated can live on
-   any node), the phase's presended set, and the protocol stats.  Every
-   deferred effect is a commutative integer add or a set insert, so folding
-   the plans in after the join reproduces the sequential totals exactly. *)
-type shard_plan = {
-  sp_recall : (int * int, Machine.block list ref) Hashtbl.t;
-  sp_inval : (int * int, int ref) Hashtbl.t;
-  sp_data : (int * int, Machine.block list ref) Hashtbl.t;
-  sp_grant : (int * int, int ref) Hashtbl.t;
-  mutable sp_invalidated : int list;  (* victim nodes, reverse scan order *)
-  mutable sp_downgraded : int list;
-  mutable sp_presended : (int * Machine.block) list;
-  mutable sp_redundant : int;
-  mutable sp_grants_r : int;
-  mutable sp_grants_w : int;
-}
-
-(* The fault-free, untraced, unmetered scan body (the parallel path is gated
-   on exactly those conditions), restricted to blocks of one shard.  Queue
-   keys all contain the block's home node, so the per-shard queues are
-   disjoint by construction and merge without collision. *)
-let plan_shard t sched shard =
-  let m = t.machine in
-  let dir = t.eng.Engine.dir in
-  let p =
-    {
-      sp_recall = Hashtbl.create 16;
-      sp_inval = Hashtbl.create 16;
-      sp_data = Hashtbl.create 16;
-      sp_grant = Hashtbl.create 16;
-      sp_invalidated = [];
-      sp_downgraded = [];
-      sp_presended = [];
-      sp_redundant = 0;
-      sp_grants_r = 0;
-      sp_grants_w = 0;
-    }
-  in
-  Schedule.iter_sorted sched (fun b mark ->
-      if Machine.shard_of_block m b = shard then begin
-        let h = Machine.home m b in
-        Machine.charge m ~node:h Machine.Presend t.per_block_us;
-        let mark =
-          match (mark, t.conflict_action) with
-          | Schedule.Conflict _, `Ignore -> mark
-          | Schedule.Conflict (Schedule.Pre_readers r), `First_stable -> Schedule.Readers r
-          | Schedule.Conflict (Schedule.Pre_writer w), `First_stable -> Schedule.Writer w
-          | _ -> mark
-        in
-        match mark with
-        | Schedule.Conflict _ -> ()
-        | Schedule.Readers rs ->
-            (match Directory.get dir b with
-            | Directory.Exclusive o ->
-                p.sp_downgraded <- o :: p.sp_downgraded;
-                Machine.set_tag m ~node:o b Tag.Read_only;
-                Directory.set dir b (Directory.Shared (Nodeset.singleton o));
-                if o <> h then push p.sp_recall (o, h) b
-            | Directory.Shared _ -> ());
-            let cur =
-              match Directory.get dir b with
-              | Directory.Shared s -> s
-              | Directory.Exclusive _ -> assert false
-            in
-            let missing = Nodeset.diff rs cur in
-            if Nodeset.is_empty missing then p.sp_redundant <- p.sp_redundant + 1
-            else begin
-              Nodeset.iter
-                (fun r ->
-                  Machine.set_tag m ~node:r b Tag.Read_only;
-                  p.sp_presended <- (r, b) :: p.sp_presended;
-                  p.sp_grants_r <- p.sp_grants_r + 1;
-                  if r <> h then push p.sp_data (h, r) b)
-                missing;
-              Directory.set dir b (Directory.Shared (Nodeset.union cur rs))
-            end
-        | Schedule.Writer w ->
-            if Tag.equal (Machine.tag m ~node:w b) Tag.Read_write then
-              p.sp_redundant <- p.sp_redundant + 1
-            else begin
-              let had_copy = Tag.permits_read (Machine.tag m ~node:w b) in
-              (match Directory.get dir b with
-              | Directory.Exclusive o ->
-                  p.sp_invalidated <- o :: p.sp_invalidated;
-                  Machine.set_tag m ~node:o b Tag.Invalid;
-                  if o <> h then push p.sp_recall (o, h) b
-              | Directory.Shared readers ->
-                  Nodeset.iter
-                    (fun r ->
-                      p.sp_invalidated <- r :: p.sp_invalidated;
-                      Machine.set_tag m ~node:r b Tag.Invalid;
-                      if r <> h then bump p.sp_inval (h, r))
-                    (Nodeset.remove w readers));
-              Machine.set_tag m ~node:w b Tag.Read_write;
-              p.sp_presended <- (w, b) :: p.sp_presended;
-              p.sp_grants_w <- p.sp_grants_w + 1;
-              (if w <> h then
-                 if had_copy then bump p.sp_grant (h, w) else push p.sp_data (h, w) b);
-              Directory.set dir b (Directory.Exclusive w)
-            end
-      end);
-  p
-
-let presend_sharded t sched ~jobs =
-  let m = t.machine in
-  (* Force the schedule's sorted-key cache on this domain: the per-shard
-     scans then only read the schedule.  Pre-grow the directory store so the
-     per-shard planners mutate disjoint, pre-existing elements of it. *)
-  ignore (Schedule.sorted_keys sched);
-  Directory.reserve t.eng.Engine.dir;
-  let plans = Fanout.run ~jobs (Machine.num_shards m) (plan_shard t sched) in
-  let recall = Hashtbl.create 16 in
-  let inval = Hashtbl.create 16 in
-  let data = Hashtbl.create 16 in
-  let grant_only = Hashtbl.create 16 in
-  let merge_q dst src = Hashtbl.iter (fun k v -> Hashtbl.add dst k v) src in
-  Array.iter
-    (fun p ->
-      List.iter (fun node -> Machine.note_downgrade m ~node) (List.rev p.sp_downgraded);
-      List.iter (fun node -> Machine.note_invalidation m ~node) (List.rev p.sp_invalidated);
-      List.iter (fun kb -> Hashtbl.replace t.presended kb ()) (List.rev p.sp_presended);
-      t.st.presend_redundant <- t.st.presend_redundant + p.sp_redundant;
-      t.st.presend_grants_r <- t.st.presend_grants_r + p.sp_grants_r;
-      t.st.presend_grants_w <- t.st.presend_grants_w + p.sp_grants_w;
-      merge_q recall p.sp_recall;
-      merge_q inval p.sp_inval;
-      merge_q data p.sp_data;
-      merge_q grant_only p.sp_grant)
-    plans;
-  flush_presend t ~recall ~inval ~data ~grant_only
-
-(* The sequential scan: the original single-domain presend, and still the
-   only path that can inject faults, emit trace events or meter — the
-   event-sharded path above is gated off whenever any of those are live. *)
-let presend_seq t phase sched =
+(* The presend (section 3.4): one scan over the phase's schedule in sorted
+   block order that queues every transfer by (source, destination), then
+   one bulk flush of the queues. *)
+let presend_scan t phase sched =
   let m = t.machine in
   let dir = t.eng.Engine.dir in
   let net = Machine.net m in
@@ -479,31 +341,11 @@ let presend_seq t phase sched =
           end);
   flush_presend t ~recall ~inval ~data ~grant_only
 
-(* Presend dispatch.  The event-sharded path splits the scan across domains
-   by directory shard; it is taken only when the machine asked for step
-   parallelism AND the run is fault-free (fault verdicts draw from a
-   sequential PRNG), untraced (event order is part of the trace contract)
-   and unmetered (instrument bumps are not thread-safe).  Everything it
-   mutates concurrently is shard-exclusive — tags and directory entries are
-   block-local and a block's shard is a pure function of its home; Presend
-   charges land on home nodes of the owning shard — and every cross-shard
-   effect is deferred and folded in sequentially, so output is byte-identical
-   to [presend_seq] at any job count (pinned by the jobs-equivalence qcheck
-   property). *)
 let presend t phase =
   match Hashtbl.find_opt t.schedules phase with
   | None -> ()
   | Some sched when Schedule.cardinal sched = 0 -> ()
-  | Some sched ->
-      let m = t.machine in
-      let jobs = min (Machine.step_jobs m) (Machine.num_shards m) in
-      if
-        jobs > 1
-        && (not (Machine.traced m))
-        && (not (Machine.metered m))
-        && Option.is_none (Machine.faults m)
-      then presend_sharded t sched ~jobs
-      else presend_seq t phase sched
+  | Some sched -> presend_scan t phase sched
 
 (* -- schedule corruption (fault injection) -------------------------------- *)
 

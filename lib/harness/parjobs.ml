@@ -3,7 +3,7 @@
    Every simulated version owns a private [Machine] (created inside
    [Measure.measure]), so distinct versions share no mutable state and can
    run on OCaml 5 domains.  Since the serving refactor the domains come from
-   [Pool] — the persistent work-stealing pool — on which [map] is plain
+   [Pool] — the persistent domain pool — on which [map] is plain
    fan-out-and-join: submit in input order, await in input order, so
    scheduling affects only which domain computes a job, never its value or
    the assembled order.

@@ -1,24 +1,22 @@
-(* A persistent work-stealing pool of OCaml 5 domains.
+(* A persistent pool of OCaml 5 domains, the repo's one parallel primitive.
 
-   This generalizes the harness's original fan-out-and-join ([Parjobs] used
-   to spawn domains per call via [Ccdsm_util.Fanout]) into a long-lived
-   pool: workers are spawned once, steal work items from a shared deque, and
-   survive across submissions — the shape a serving process needs to keep
-   the machine hot between requests.
+   Workers are spawned once, take jobs from one mutex-guarded FIFO queue
+   shared by every worker, and survive across submissions — the shape a
+   serving process needs to keep the machine hot between requests.
 
-   Determinism contract (the same one Fanout carried): which worker runs a
-   job never affects its value, only its wall-clock.  Results are collected
-   through per-job tickets, so callers that await tickets in submission
-   order observe exactly the fan-out-and-join semantics; callers that want
-   completion order (the serving layer) let each job publish its own result.
+   Determinism contract: which worker runs a job never affects its value,
+   only its wall-clock.  Results are collected through per-job tickets, so
+   callers that await tickets in submission order observe exactly the
+   fan-out-and-join semantics; callers that want completion order (the
+   serving layer) let each job publish its own result.
 
    Every job's outcome is captured — value, or exception with its raw
    backtrace from the worker domain — so a poisonous job can never take a
    worker (or the pool) down, and [await_exn] re-raises at the caller with
    the worker-side raise site intact. *)
 
-(* The deque holds [unit -> unit] thunks: each job computes and stores its
-   own result through its ticket, so the deque stays monomorphic while
+(* The queue holds [unit -> unit] thunks: each job computes and stores its
+   own result through its ticket, so the queue stays monomorphic while
    tickets are polymorphic. *)
 type t = {
   mutex : Mutex.t;
@@ -49,7 +47,7 @@ let worker pool () =
       Condition.wait pool.nonempty pool.mutex
     done;
     (* Graceful shutdown drains: keep taking work while any is queued, exit
-       only once the deque is empty and the stop flag is up. *)
+       only once the queue is empty and the stop flag is up. *)
     if Queue.is_empty pool.work then Mutex.unlock pool.mutex
     else begin
       let job = Queue.pop pool.work in

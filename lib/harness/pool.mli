@@ -1,16 +1,15 @@
-(** A persistent work-stealing pool of OCaml 5 domains.
+(** A persistent pool of OCaml 5 domains — the only code that spawns
+    domains.
 
-    The generalization of the harness's fan-out-and-join: workers are
-    spawned once ({!create}), steal jobs from a shared deque, and survive
-    across submissions until {!shutdown}.  {!Parjobs.map} runs on a
-    transient pool; the serving layer ([Ccdsm_serve]) keeps one alive for
-    the life of the process.
+    Workers are spawned once ({!create}), take jobs from one mutex-guarded
+    FIFO queue shared by every worker, and survive across submissions until
+    {!shutdown}.  {!Parjobs.map} runs on a transient pool; the serving
+    layer ([Ccdsm_serve]) keeps one alive for the life of the process.
 
     Jobs must be self-contained (no shared mutable state between jobs) —
-    the callers own that argument, exactly as with [Ccdsm_util.Fanout].
-    Every job outcome is captured per job: a raising job never kills a
-    worker, and the exception is re-raised at the awaiting caller with the
-    worker-side backtrace intact. *)
+    the callers own that argument.  Every job outcome is captured per job:
+    a raising job never kills a worker, and the exception is re-raised at
+    the awaiting caller with the worker-side backtrace intact. *)
 
 type t
 

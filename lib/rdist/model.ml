@@ -418,7 +418,7 @@ let replay (p : Profile.t) (f : flat) ~net ~per_block_us ~record_us ~block_bytes
         set_tag node b tag_rw;
         dir.(b) <- Excl node
   in
-  (* Mirror of Predictive.presend_seq (fault-free) + flush_presend. *)
+  (* Mirror of Predictive.presend_scan (fault-free) + flush_presend. *)
   let presend phase =
     match (protocol, Hashtbl.find_opt schedules phase) with
     | Stache, _ | _, None -> ()

@@ -322,18 +322,30 @@ let handle_line t conn line =
                   ignore (Cache.cancel t.cache ~key (Job_error "server shutting down"));
                   Atomic.decr t.admitted)))
 
+let max_line_bytes = 1 lsl 20
+
+exception Line_too_long
+
 let reader_loop t conn =
-  let buf = Buffer.create 256 in
+  let line = Buffer.create 256 in
   let chunk = Bytes.create 4096 in
-  let flush_lines () =
-    let s = Buffer.contents buf in
-    match String.rindex_opt s '\n' with
-    | None -> ()
-    | Some last ->
-        Buffer.clear buf;
-        Buffer.add_string buf (String.sub s (last + 1) (String.length s - last - 1));
-        String.split_on_char '\n' (String.sub s 0 last)
-        |> List.iter (fun line -> handle_line t conn line)
+  (* Append the [n] bytes just read to the pending line, handling each line
+     a newline completes.  Only new bytes are scanned, so a long line costs
+     time linear in its length. *)
+  let absorb n =
+    let start = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.unsafe_get chunk i = '\n' then begin
+        Buffer.add_subbytes line chunk !start (i - !start);
+        start := i + 1;
+        if Buffer.length line > max_line_bytes then raise Line_too_long;
+        let l = Buffer.contents line in
+        Buffer.clear line;
+        handle_line t conn l
+      end
+    done;
+    Buffer.add_subbytes line chunk !start (n - !start);
+    if Buffer.length line > max_line_bytes then raise Line_too_long
   in
   let rec loop () =
     if not (Atomic.get t.stopping) then
@@ -343,15 +355,27 @@ let reader_loop t conn =
           match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
           | 0 -> ()
           | n ->
-              Buffer.add_subbytes buf chunk 0 n;
-              flush_lines ();
+              absorb n;
               loop ()
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
   in
-  (try loop () with _ -> ());
+  let too_long =
+    try
+      loop ();
+      false
+    with Line_too_long -> true | _ -> false
+  in
+  if too_long then begin
+    send_spec_error t conn ~id:None
+      (Printf.sprintf "request line longer than %d bytes; closing connection" max_line_bytes);
+    log_job t ~id:None ~key:None ~cache:"none" ~queue_wait_us:0.0 ~run_us:0.0 ~slow:false "error"
+  end;
   Mutex.lock conn.wmutex;
   conn.alive <- false;
+  (* Shut down rather than close: the client sees end-of-stream, and [stop]
+     still owns closing the fd. *)
+  if too_long then (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with _ -> ());
   Mutex.unlock conn.wmutex
 
 let accept_loop t fd handle =

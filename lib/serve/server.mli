@@ -21,6 +21,11 @@
     [/healthz].  SIGTERM/SIGINT drain: stop accepting, finish admitted jobs
     and deliver their responses, then exit. *)
 
+val max_line_bytes : int
+(** Longest accepted request line (1 MiB, far above any real spec).  A
+    longer line, newline-terminated or not, gets one [status:"error"]
+    record and the connection is closed. *)
+
 type outcome = Result of string | Job_error of string | Timeout
 (** What the cache stores per key: a rendered {!Runner.execute} record, a
     per-job error, or (never stored — only delivered on cancellation) a

@@ -2,8 +2,7 @@
     hooks into a causal {!Ccdsm_obs.Timeline.t}.
 
     [attach m] subscribes to the machine's trace bus (so [Machine.traced]
-    becomes true, which also gates off the sharded presend path — collection
-    observes the sequential schedule) and installs the timeline charge hook.
+    becomes true) and installs the timeline charge hook.
     From then on every bucket charge is replayed into the timeline's exact
     per-node accounting, and the event stream is folded into spans:
 

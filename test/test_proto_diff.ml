@@ -207,28 +207,27 @@ let prop_fuzz_differential =
              | reference :: rest ->
                  List.for_all (fun b -> b = reference) rest && par = seq)))
 
-(* -- qcheck: the event-sharded step loop is invisible ---------------------- *)
+(* -- qcheck: 256-node machines ---------------------------------------------- *)
 
-(* Same random program, same 256-node machine, presend work split across 1
-   vs 4 domains: the final heap digest and every node's counters must be
-   identical.  sanitize:false is load-bearing — the sanitizer subscribes as
-   a trace subscriber, and a traced machine pins the step loop to the
-   sequential path, so a sanitized run would never exercise the shards. *)
-let prop_step_jobs_equivalence =
+(* The only random-program property at 256 nodes, where the byte-string
+   [Nodeset] arm and wide directories live.  Two predictive runs of the same
+   program must leave identical heaps and per-node counters, and the
+   predictive heap must equal the stache heap. *)
+let prop_256_nodes =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:10
-       ~name:"random C** program: step_jobs 1 = step_jobs 4 at 256 nodes"
+       ~name:"random C** program at 256 nodes: predictive repeatable, heap = stache"
        Test_cstar_fuzz.gen_program (fun ast ->
          match Test_cstar_fuzz.compile_ast ast with
          | Error (printed, errs) ->
              QCheck2.Test.fail_reportf "did not compile:@.%s@.errors: %s" printed
                (String.concat "; " errs)
          | Ok (_, compiled) ->
-             let run step_jobs =
+             let run protocol =
                let rt =
                  Runtime.create
-                   ~cfg:(Machine.default_config ~num_nodes:256 ~block_bytes:32 ~step_jobs ())
-                   ~sanitize:false ~protocol:Runtime.Predictive ()
+                   ~cfg:(Machine.default_config ~num_nodes:256 ~block_bytes:32 ())
+                   ~sanitize:false ~protocol ()
                in
                let env = Ccdsm_cstar.Interp.load rt compiled in
                Ccdsm_cstar.Interp.run env;
@@ -237,7 +236,9 @@ let prop_step_jobs_equivalence =
                let ctrs = List.init 256 (fun node -> Machine.counters m ~node) in
                (digest, ctrs)
              in
-             run 1 = run 4))
+             let predictive = run Runtime.Predictive in
+             predictive = run Runtime.Predictive
+             && fst predictive = fst (run Runtime.Stache)))
 
 let suite =
   [
@@ -253,6 +254,6 @@ let suite =
         Alcotest.test_case "faulted runs leave the same heap" `Quick test_faulted_runs_agree;
         Alcotest.test_case "report renders" `Quick test_render;
         prop_fuzz_differential;
-        prop_step_jobs_equivalence;
+        prop_256_nodes;
       ] );
   ]

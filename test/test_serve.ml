@@ -1,4 +1,4 @@
-(* The serving layer: the persistent work-stealing pool, job-spec parsing
+(* The serving layer: the persistent domain pool, job-spec parsing
    and content addressing, the inflight-deduplicating result cache, and the
    daemon end-to-end over a Unix socket — including the failure paths
    (timeout, queue-full rejection, malformed specs). *)
@@ -34,7 +34,7 @@ let test_pool_map_order () =
         (Pool.map pool (fun x -> x * x) xs))
 
 let test_pool_persistent_reuse () =
-  (* One pool, many submission waves: the shared deque must keep serving
+  (* One pool, many submission waves: the shared queue must keep serving
      after it has drained to empty (fan-out-and-join pools died here). *)
   Pool.with_pool ~domains:2 (fun pool ->
       for wave = 1 to 5 do
@@ -101,7 +101,6 @@ let test_job_parse_defaults () =
       check Alcotest.string "app" "water" spec.Job.app;
       check Alcotest.int "nodes default" 8 spec.Job.nodes;
       check Alcotest.int "block default" 32 spec.Job.block_bytes;
-      check Alcotest.int "step_jobs default" 1 spec.Job.step_jobs;
       check Alcotest.bool "no faults" true (spec.Job.faults = None);
       check Alcotest.bool "scaled" true (spec.Job.scale = `Scaled)
 
@@ -133,7 +132,9 @@ let test_job_parse_rejects () =
   reject "nodes range" {|{"app":"w","protocol":"s","nodes":4096}|} "nodes";
   reject "bad faults" {|{"app":"w","protocol":"s","faults":"drop=oops"}|} "faults";
   reject "bad scale" {|{"app":"w","protocol":"s","scale":"huge"}|} "scale";
-  reject "step_jobs cap" {|{"app":"w","protocol":"s","step_jobs":1000000}|} "step_jobs";
+  (* Not a spec key: a field that cannot change the result must not split
+     the cache key either. *)
+  reject "step_jobs" {|{"app":"w","protocol":"s","step_jobs":2}|} "unknown key";
   reject "garbage" {|{"app":"w","protocol":"s"} trailing|} "trailing";
   reject "not json" {|water stache|} "expected"
 
@@ -394,6 +395,58 @@ let test_serve_queue_full () =
       check Alcotest.bool "rejection counted" true
         (contains m "ccdsm_serve_requests_total{status=\"rejected\"} 1"))
 
+let test_serve_oversize_line () =
+  (* A newline-free request past the line cap gets one structured error and
+     then end-of-stream; the daemon keeps serving other connections.  The
+     receive timeout turns a daemon that never answers into a failure. *)
+  with_server (fun _srv path ->
+      let fd = connect path in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with _ -> ())
+        (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+          let oc = Unix.out_channel_of_descr fd in
+          let ic = Unix.in_channel_of_descr fd in
+          output_string oc (String.make (Server.max_line_bytes + 1) 'x');
+          flush oc;
+          let r = input_line ic in
+          check Alcotest.bool "structured error" true
+            (contains r "\"status\":\"error\"" && contains r "longer than");
+          match input_line ic with
+          | exception End_of_file -> ()
+          | l -> Alcotest.fail ("connection must close, got: " ^ l));
+      match roundtrip path [ spec_line ] with
+      | [ r ] -> check Alcotest.bool "daemon still serves" true (contains r "\"status\":\"ok\"")
+      | _ -> Alcotest.fail "one response expected")
+
+let test_serve_trickled_request () =
+  (* One request written a few bytes at a time still parses, and answers
+     with the same result as the whole line. *)
+  with_server (fun _srv path ->
+      let fd = connect path in
+      let trickled =
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with _ -> ())
+          (fun () ->
+            let req = Bytes.of_string (spec_line ^ "\n") in
+            let n = Bytes.length req in
+            let rec send off =
+              if off < n then begin
+                let w = Unix.write fd req off (min 3 (n - off)) in
+                Thread.delay 0.001;
+                send (off + w)
+              end
+            in
+            send 0;
+            input_line (Unix.in_channel_of_descr fd))
+      in
+      check Alcotest.bool "answered ok" true (contains trickled "\"status\":\"ok\"");
+      match roundtrip path [ spec_line ] with
+      | [ whole ] ->
+          check Alcotest.string "same result as the whole line" (result_part whole)
+            (result_part trickled)
+      | _ -> Alcotest.fail "one response expected")
+
 let test_serve_latency_breakdown () =
   (* Every sim result carries the paper-bucket decomposition. *)
   with_server (fun _srv path ->
@@ -508,6 +561,8 @@ let suite =
         Alcotest.test_case "serve structured errors" `Quick test_serve_structured_errors;
         Alcotest.test_case "serve timeout" `Quick test_serve_timeout;
         Alcotest.test_case "serve queue full" `Quick test_serve_queue_full;
+        Alcotest.test_case "serve oversize line closes" `Quick test_serve_oversize_line;
+        Alcotest.test_case "serve trickled request" `Quick test_serve_trickled_request;
         Alcotest.test_case "serve latency breakdown" `Quick test_serve_latency_breakdown;
         Alcotest.test_case "serve slow-log round-trip" `Quick test_serve_slow_log_roundtrip;
       ] );
