@@ -12,7 +12,8 @@ val wall_measurements : ?quick:bool -> Experiments.scale -> int -> (string * flo
 
 val load_baseline : string -> ((string * float) list, string) result
 (** Read the ["wall_ms"] object out of a [bench --json] baseline file.
-    Understands only that fixed format. *)
+    [Error] when the file is not JSON, or has no ["wall_ms"] object, an
+    empty one, or a non-number entry. *)
 
 type verdict = {
   name : string;

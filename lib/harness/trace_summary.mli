@@ -6,8 +6,8 @@
     kind (payload-size histograms on {!Ccdsm_obs.Obs.Histogram.default_edges}
     and cost histograms on the same edges mapped through
     {!Ccdsm_tempest.Network.msg_cost} under [Network.default]), fault and
-    presend totals.  The parser only understands that fixed, flat format —
-    it is a reporting aid, not a general JSON reader. *)
+    presend totals.  Each line is read with
+    {!Ccdsm_tempest.Trace.of_json}; a line it rejects counts as unparsed. *)
 
 val of_channel : in_channel -> string
 (** Consume the channel to EOF and render the summary. *)

@@ -1,4 +1,5 @@
 module Machine = Ccdsm_tempest.Machine
+module Json = Ccdsm_util.Json
 
 type event =
   | Run of { node : int; write : bool; addr : int; stride : int; count : int }
@@ -431,20 +432,6 @@ let collect ?sample_presends ~app ~protocol ~arena_blocks machine f =
 
 (* -- canonical JSON ------------------------------------------------------ *)
 
-let esc b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 (* Round-trip-exact float literal: the shortest of %.12g / %.17g that parses
    back to the same value, so saved profiles reload bit-for-bit. *)
 let float_str v =
@@ -463,9 +450,9 @@ let bucket_us_json b a =
 let to_json p =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"version\":2,\"app\":";
-  esc b p.app;
+  Buffer.add_string b (Json.quote p.app);
   Buffer.add_string b ",\"protocol\":";
-  esc b p.protocol;
+  Buffer.add_string b (Json.quote p.protocol);
   Printf.bprintf b ",\"nodes\":%d,\"block_bytes\":%d,\"arena_blocks\":%d" p.nodes p.block_bytes
     p.arena_blocks;
   Printf.bprintf b ",\"outside\":{\"msgs\":%d,\"bytes\":%d,\"bucket_us\":" p.out_msgs p.out_bytes;
@@ -477,7 +464,7 @@ let to_json p =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "\n";
       Printf.bprintf b "{\"seq\":%d,\"phase\":%d,\"name\":" s.seq s.phase;
-      esc b s.name;
+      Buffer.add_string b (Json.quote s.name);
       Printf.bprintf b ",\"record\":%b,\"presend\":%b" s.record s.presend;
       Printf.bprintf b ",\"reads\":%d,\"writes\":%d" s.reads s.writes;
       Printf.bprintf b ",\"faults\":%d,\"msgs\":%d,\"bytes\":%d,\"presends\":%d" s.a_faults s.a_msgs
@@ -509,200 +496,23 @@ let to_json p =
   Buffer.add_string b "]}\n";
   Buffer.contents b
 
-(* Minimal recursive-descent parser for the subset emitted above: objects,
-   arrays, strings, integers, floats, booleans.  Integer counters parse to
-   [I] (exact); only numbers written with a '.' or exponent parse to [F]. *)
-type jv = O of (string * jv) list | A of jv list | I of int | F of float | S of string | B of bool
-
 exception Bad of string
 
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let skip () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect ch =
-    if !pos >= n || s.[!pos] <> ch then fail (Printf.sprintf "expected '%c'" ch);
-    incr pos
-  in
-  let rec value () =
-    skip ();
-    if !pos >= n then fail "unexpected end of input";
-    match s.[!pos] with
-    | '{' ->
-        incr pos;
-        skip ();
-        if !pos < n && s.[!pos] = '}' then begin
-          incr pos;
-          O []
-        end
-        else begin
-          let fields = ref [] in
-          let rec loop () =
-            skip ();
-            let k = match value_string () with k -> k in
-            skip ();
-            expect ':';
-            let v = value () in
-            fields := (k, v) :: !fields;
-            skip ();
-            if !pos < n && s.[!pos] = ',' then begin
-              incr pos;
-              loop ()
-            end
-            else expect '}'
-          in
-          loop ();
-          O (List.rev !fields)
-        end
-    | '[' ->
-        incr pos;
-        skip ();
-        if !pos < n && s.[!pos] = ']' then begin
-          incr pos;
-          A []
-        end
-        else begin
-          let items = ref [] in
-          let rec loop () =
-            let v = value () in
-            items := v :: !items;
-            skip ();
-            if !pos < n && s.[!pos] = ',' then begin
-              incr pos;
-              loop ()
-            end
-            else expect ']'
-          in
-          loop ();
-          A (List.rev !items)
-        end
-    | '"' -> S (value_string ())
-    | 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then begin
-          pos := !pos + 4;
-          B true
-        end
-        else fail "bad literal"
-    | 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then begin
-          pos := !pos + 5;
-          B false
-        end
-        else fail "bad literal"
-    | '-' | '0' .. '9' ->
-        let start = !pos in
-        if s.[!pos] = '-' then incr pos;
-        while !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false do
-          incr pos
-        done;
-        if !pos = start || (s.[start] = '-' && !pos = start + 1) then fail "bad number";
-        if !pos < n && (s.[!pos] = '.' || s.[!pos] = 'e' || s.[!pos] = 'E') then begin
-          if s.[!pos] = '.' then begin
-            incr pos;
-            let digits = !pos in
-            while !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false do
-              incr pos
-            done;
-            if !pos = digits then fail "bad number"
-          end;
-          if !pos < n && (s.[!pos] = 'e' || s.[!pos] = 'E') then begin
-            incr pos;
-            if !pos < n && (s.[!pos] = '+' || s.[!pos] = '-') then incr pos;
-            let digits = !pos in
-            while !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false do
-              incr pos
-            done;
-            if !pos = digits then fail "bad number"
-          end;
-          F (float_of_string (String.sub s start (!pos - start)))
-        end
-        else I (int_of_string (String.sub s start (!pos - start)))
-    | _ -> fail "unexpected character"
-  and value_string () =
-    skip ();
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-          incr pos;
-          if !pos >= n then fail "bad escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'u' ->
-              if !pos + 4 >= n then fail "bad unicode escape";
-              let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-              if code > 0xff then fail "non-latin unicode escape";
-              Buffer.add_char b (Char.chr code);
-              pos := !pos + 4
-          | _ -> fail "bad escape");
-          incr pos;
-          loop ()
-      | c ->
-          Buffer.add_char b c;
-          incr pos;
-          loop ()
-    in
-    loop ();
-    Buffer.contents b
-  in
-  let v = value () in
-  skip ();
-  if !pos <> n then fail "trailing content";
-  v
+(* A required member, converted; a missing or mistyped one names itself. *)
+let get conv name j =
+  match Option.bind (Json.member name j) conv with
+  | Some v -> v
+  | None -> raise (Bad (Printf.sprintf "missing or mistyped field %S" name))
 
-let field name = function
-  | O fields -> (
-      match List.assoc_opt name fields with
-      | Some v -> v
-      | None -> raise (Bad (Printf.sprintf "missing field %S" name)))
-  | _ -> raise (Bad (Printf.sprintf "expected object for field %S" name))
-
-let as_int name = function I i -> i | _ -> raise (Bad (Printf.sprintf "field %S: expected int" name))
-
-let as_float name = function
-  | I i -> float_of_int i
-  | F f -> f
-  | _ -> raise (Bad (Printf.sprintf "field %S: expected number" name))
-let as_str name = function
-  | S s -> s
-  | _ -> raise (Bad (Printf.sprintf "field %S: expected string" name))
-
-let as_bool name = function
-  | B b -> b
-  | _ -> raise (Bad (Printf.sprintf "field %S: expected bool" name))
-
-let as_arr name = function
-  | A l -> l
-  | _ -> raise (Bad (Printf.sprintf "field %S: expected array" name))
-
-let int_field j name = as_int name (field name j)
-let str_field j name = as_str name (field name j)
-let bool_field j name = as_bool name (field name j)
-
-let bucket_field j =
-  let l = List.map (as_float "bucket_us") (as_arr "bucket_us" (field "bucket_us" j)) in
-  if List.length l <> nmb then
+let decode_buckets j =
+  let a = get (Json.to_array Json.to_float) "bucket_us" j in
+  if Array.length a <> nmb then
     raise (Bad (Printf.sprintf "field \"bucket_us\": expected %d entries" nmb));
-  Array.of_list l
+  a
 
-let decode_events l =
-  let cells = List.map (as_int "ev") l in
-  let n = List.length cells in
+let decode_events a =
+  let n = Array.length a in
   if n mod 5 <> 0 then raise (Bad "field \"ev\": length not a multiple of 5");
-  let a = Array.of_list cells in
   Array.init (n / 5) (fun i ->
       let j = i * 5 in
       match a.(j) with
@@ -714,49 +524,50 @@ let decode_events l =
       | k -> raise (Bad (Printf.sprintf "field \"ev\": unknown event kind %d" k)))
 
 let decode_hist j =
-  match j with
-  | A (I hnode :: I cold :: rest) ->
-      { hnode; cold; buckets = Array.of_list (List.map (as_int "rdist") rest) }
+  match Json.to_array Json.to_int j with
+  | Some a when Array.length a >= 2 ->
+      { hnode = a.(0); cold = a.(1); buckets = Array.sub a 2 (Array.length a - 2) }
   | _ -> raise (Bad "field \"rdist\": expected [node, cold, buckets...]")
 
 let decode_segment j =
+  let int name = get Json.to_int name j and bool name = get Json.to_bool name j in
   {
-    seq = int_field j "seq";
-    phase = int_field j "phase";
-    name = str_field j "name";
-    record = bool_field j "record";
-    presend = bool_field j "presend";
-    reads = int_field j "reads";
-    writes = int_field j "writes";
-    a_faults = int_field j "faults";
-    a_msgs = int_field j "msgs";
-    a_bytes = int_field j "bytes";
-    a_presends = int_field j "presends";
-    a_bucket_us = bucket_field j;
-    events = decode_events (as_arr "ev" (field "ev" j));
-    rdist = Array.of_list (List.map decode_hist (as_arr "rdist" (field "rdist" j)));
+    seq = int "seq";
+    phase = int "phase";
+    name = get Json.to_string "name" j;
+    record = bool "record";
+    presend = bool "presend";
+    reads = int "reads";
+    writes = int "writes";
+    a_faults = int "faults";
+    a_msgs = int "msgs";
+    a_bytes = int "bytes";
+    a_presends = int "presends";
+    a_bucket_us = decode_buckets j;
+    events = decode_events (get (Json.to_array Json.to_int) "ev" j);
+    rdist = Array.map decode_hist (get (Json.to_array Option.some) "rdist" j);
   }
 
 let of_json s =
   match
-    let j = parse_json s in
-    let version = int_field j "version" in
+    let j = match Json.parse s with Ok j -> j | Error msg -> raise (Bad msg) in
+    let version = get Json.to_int "version" j in
     if version <> 2 then raise (Bad (Printf.sprintf "unsupported profile version %d" version));
+    let outside = get Option.some "outside" j in
     {
-      app = str_field j "app";
-      protocol = str_field j "protocol";
-      nodes = int_field j "nodes";
-      block_bytes = int_field j "block_bytes";
-      arena_blocks = int_field j "arena_blocks";
-      out_msgs = int_field (field "outside" j) "msgs";
-      out_bytes = int_field (field "outside" j) "bytes";
-      out_bucket_us = bucket_field (field "outside" j);
-      segments = Array.of_list (List.map decode_segment (as_arr "segments" (field "segments" j)));
+      app = get Json.to_string "app" j;
+      protocol = get Json.to_string "protocol" j;
+      nodes = get Json.to_int "nodes" j;
+      block_bytes = get Json.to_int "block_bytes" j;
+      arena_blocks = get Json.to_int "arena_blocks" j;
+      out_msgs = get Json.to_int "msgs" outside;
+      out_bytes = get Json.to_int "bytes" outside;
+      out_bucket_us = decode_buckets outside;
+      segments = Array.map decode_segment (get (Json.to_array Option.some) "segments" j);
     }
   with
   | p -> Ok p
   | exception Bad msg -> Error ("invalid profile: " ^ msg)
-  | exception Failure msg -> Error ("invalid profile: " ^ msg)
 
 let save path p =
   let oc = open_out path in

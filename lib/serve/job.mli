@@ -11,7 +11,9 @@
 
     Only [app] and [protocol] are required; everything else defaults.  [id]
     is an opaque correlation token echoed back in the response and excluded
-    from the content address.  Unknown keys, nested values, out-of-range
+    from the content address.  The line is standard JSON
+    ({!Ccdsm_util.Json.parse}): strings take every escape, [\uXXXX]
+    included.  Unknown or duplicate keys, nested values, out-of-range
     numbers and malformed fault plans are rejected with a one-line message
     (the daemon turns it into a structured per-job error record — a bad
     spec never tears the service down). *)
@@ -56,7 +58,3 @@ val digest : spec -> int64
 
 val key : spec -> string
 (** {!digest} as 16 hex digits — the result-cache key. *)
-
-val escape_to_json : string -> string
-(** Quote and escape a string as a JSON literal (shared by the response
-    writers). *)

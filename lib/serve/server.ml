@@ -23,6 +23,7 @@
 module Pool = Ccdsm_harness.Pool
 module Obs = Ccdsm_obs.Obs
 module Export = Ccdsm_obs.Export
+module Json = Ccdsm_util.Json
 
 type outcome = Result of string | Job_error of string | Timeout
 
@@ -131,10 +132,10 @@ let log_job t ~id ~key ~cache ~queue_wait_us ~run_us ~slow status =
       let line =
         Printf.sprintf
           "{\"cache\":%s,\"id\":%s,\"key\":%s,\"queue_wait_us\":%s,\"run_us\":%s,\"slow\":%b,\"status\":%s}"
-          (Job.escape_to_json cache) (id_lit id)
+          (Json.quote cache) (id_lit id)
           (match key with None -> "null" | Some k -> "\"" ^ k ^ "\"")
           (Obs.float_to_string queue_wait_us)
-          (Obs.float_to_string run_us) slow (Job.escape_to_json status)
+          (Obs.float_to_string run_us) slow (Json.quote status)
       in
       Mutex.lock t.log_mutex;
       output_string oc line;
@@ -149,7 +150,7 @@ let render ~id ~key ~kind outcome =
         (id_lit id) kind key json
   | Job_error msg ->
       Printf.sprintf "{\"id\":%s,\"status\":\"error\",\"cache\":\"%s\",\"key\":\"%s\",\"error\":%s}"
-        (id_lit id) kind key (Job.escape_to_json msg)
+        (id_lit id) kind key (Json.quote msg)
   | Timeout ->
       Printf.sprintf "{\"id\":%s,\"status\":\"timeout\",\"key\":\"%s\",\"error\":\"job timed out\"}"
         (id_lit id) key
@@ -167,7 +168,7 @@ let send_spec_error t conn ~id msg =
   tick t (fun () -> Obs.Counter.inc t.req_error);
   write_line conn
     (Printf.sprintf "{\"id\":%s,\"status\":\"error\",\"error\":%s}" (id_lit id)
-       (Job.escape_to_json msg))
+       (Json.quote msg))
 
 let send_rejected t conn ~id ~key =
   tick t (fun () -> Obs.Counter.inc t.req_rejected);

@@ -1,3 +1,5 @@
+module Json = Ccdsm_util.Json
+
 type msg_kind = Req | Data | Inval | Ack | Grant | Recall | Update | Reduce
 
 let msg_kind_name = function
@@ -107,7 +109,7 @@ let msg_kind_index = function
 
 let pp ppf ev = Format.pp_print_string ppf (to_json ev)
 
-(* -- parsing (inverse of [to_json], over our own fixed format) ----------- *)
+(* -- parsing (inverse of [to_json]) ---------------------------------------- *)
 
 let msg_kind_of_string = function
   | "req" -> Some Req
@@ -120,59 +122,34 @@ let msg_kind_of_string = function
   | "reduce" -> Some Reduce
   | _ -> None
 
-let find_sub line pat =
-  let n = String.length line and m = String.length pat in
-  let rec go i =
-    if i + m > n then None else if String.sub line i m = pat then Some (i + m) else go (i + 1)
-  in
-  go 0
-
-let raw_field line key =
-  (* The characters after ["key":] up to the next ',' or '}'. *)
-  match find_sub line ("\"" ^ key ^ "\":") with
-  | None -> None
-  | Some j ->
-      let n = String.length line in
-      let k = ref j in
-      while !k < n && line.[!k] <> ',' && line.[!k] <> '}' do
-        incr k
-      done;
-      Some (String.sub line j (!k - j))
-
-let int_field line key = Option.bind (raw_field line key) int_of_string_opt
-let bool_field line key = Option.bind (raw_field line key) bool_of_string_opt
-
-let string_field line key =
-  match find_sub line ("\"" ^ key ^ "\":\"") with
-  | None -> None
-  | Some j -> (
-      match String.index_from_opt line j '"' with
-      | None -> None
-      | Some k -> Some (String.sub line j (k - j)))
-
 let of_json line =
   let err what = Error (Printf.sprintf "bad trace line (%s): %s" what line) in
-  let int key k = match int_field line key with Some v -> k v | None -> err key in
-  let str key k = match string_field line key with Some v -> k v | None -> err key in
+  let json = Json.parse line in
+  let field conv key =
+    match json with Ok j -> Option.bind (Json.member key j) conv | Error _ -> None
+  in
+  let int key k = match field Json.to_int key with Some v -> k v | None -> err key in
+  let str key k = match field Json.to_string key with Some v -> k v | None -> err key in
   let write k =
-    match string_field line "kind" with
+    match field Json.to_string "kind" with
     | Some "read" -> k false
     | Some "write" -> k true
     | _ -> err "kind"
   in
   let msg_kind k =
-    match Option.bind (string_field line "kind") msg_kind_of_string with
+    match Option.bind (field Json.to_string "kind") msg_kind_of_string with
     | Some v -> k v
     | None -> err "kind"
   in
   let tag key k =
-    match Option.bind (string_field line key) Tag.of_string with
+    match Option.bind (field Json.to_string key) Tag.of_string with
     | Some v -> k v
     | None -> err key
   in
-  match string_field line "type" with
-  | None -> err "type"
-  | Some ty -> (
+  match (json, field Json.to_string "type") with
+  | Error msg, _ -> err msg
+  | Ok _, None -> err "type"
+  | Ok _, Some ty -> (
       match ty with
       | "init" ->
           int "nodes" (fun nodes ->
@@ -187,7 +164,7 @@ let of_json line =
           int "node" (fun node ->
               int "addr" (fun addr ->
                   write (fun write ->
-                      match bool_field line "faulted" with
+                      match field Json.to_bool "faulted" with
                       | Some faulted -> Ok (Access { node; addr; write; faulted })
                       | None -> err "faulted")))
       | "msg" ->
@@ -230,13 +207,10 @@ let of_json line =
       | "sched_corrupt" ->
           int "phase" (fun phase ->
               int "block" (fun block ->
-                  match raw_field line "node" with
-                  | Some "null" -> Ok (Sched_corrupt { phase; block; node = None })
-                  | Some s -> (
-                      match int_of_string_opt s with
-                      | Some n -> Ok (Sched_corrupt { phase; block; node = Some n })
-                      | None -> err "node")
-                  | None -> err "node"))
+                  match field Option.some "node" with
+                  | Some Json.Null -> Ok (Sched_corrupt { phase; block; node = None })
+                  | Some (Json.Int n) -> Ok (Sched_corrupt { phase; block; node = Some n })
+                  | _ -> err "node"))
       | _ -> err "unknown type")
 
 let global_sink : (event -> unit) option ref = ref None

@@ -74,10 +74,11 @@ val msg_kind_of_string : string -> msg_kind option
 (** Inverse of {!msg_kind_name}; [None] on unknown names. *)
 
 val of_json : string -> (event, string) result
-(** Parse one JSONL trace line back into its event (inverse of {!to_json}
-    over this module's own fixed format — not a general JSON parser).  The
-    trace-replay oracle ({!Ccdsm_check.Replay}) uses this to feed recorded
-    traces through the sanitizer.  Errors name the missing/bad field. *)
+(** Parse one JSONL trace line back into its event (inverse of {!to_json}).
+    The line is read with {!Ccdsm_util.Json.parse}, so duplicate keys and
+    trailing content are errors.  The trace-replay oracle
+    ({!Ccdsm_check.Replay}) uses this to feed recorded traces through the
+    sanitizer.  Errors name the missing/bad field. *)
 
 val pp : Format.formatter -> event -> unit
 (** Human-readable one-liner (used in sanitizer diagnostics). *)

@@ -184,7 +184,11 @@ let test_trace_json_roundtrip () =
             ("round-trip " ^ Trace.type_name ev)
             (Trace.to_json ev) (Trace.to_json ev')
       | Error m -> Alcotest.failf "%s: %s" (Trace.type_name ev) m)
-    roundtrip_events
+    roundtrip_events;
+  (* Any standard spelling of a line parses, not only the writer's own. *)
+  match Trace.of_json {|{"type": "phase_begin", "phase": 3}|} with
+  | Ok ev -> check Alcotest.bool "spaces after colons" true (ev = Trace.Phase_begin { phase = 3 })
+  | Error m -> Alcotest.fail m
 
 let test_trace_json_errors () =
   List.iter
@@ -198,6 +202,8 @@ let test_trace_json_errors () =
       {|{"type":"unknown_event"}|};
       {|{"type":"msg","src":0}|};
       {|{"type":"tag","node":0,"block":1,"before":"Bogus","after":"Invalid"}|};
+      {|{"type":"phase_begin","phase":3,"phase":4}|};
+      {|{"type":"phase_begin","phase":3} x|};
     ]
 
 (* -- replay oracle ---------------------------------------------------------- *)

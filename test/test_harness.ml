@@ -3,6 +3,7 @@
 
 module Machine = Ccdsm_tempest.Machine
 module Network = Ccdsm_tempest.Network
+module Trace = Ccdsm_tempest.Trace
 module Runtime = Ccdsm_runtime.Runtime
 module Measure = Ccdsm_harness.Measure
 module E = Ccdsm_harness.Experiments
@@ -148,11 +149,11 @@ let test_trace_summary_histograms () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out path in
-      output_string oc
-        {|{"type":"msg","kind":"data","bytes":32}
-{"type":"msg","kind":"data","bytes":32}
-{"type":"msg","kind":"req","bytes":16}
-|};
+      List.iter
+        (fun (bytes, kind) ->
+          output_string oc (Trace.to_json (Trace.Msg { src = 0; dst = 1; bytes; kind }));
+          output_char oc '\n')
+        [ (32, Trace.Data); (32, Trace.Data); (16, Trace.Req) ];
       close_out oc;
       match Ccdsm_harness.Trace_summary.summarize_file path with
       | Error msg -> Alcotest.fail msg
@@ -163,6 +164,31 @@ let test_trace_summary_histograms () =
           let cost = Network.msg_cost Network.default ~bytes:32 in
           Alcotest.(check bool) "priced total" true
             (contains s (Printf.sprintf "%.0f" (2.0 *. cost))))
+
+let test_load_baseline () =
+  let load content =
+    let path = Filename.temp_file "ccdsm-bench" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_text path (fun oc -> output_string oc content);
+        Ccdsm_harness.Bench_compare.load_baseline path)
+  in
+  (match load {|{"schema": "ccdsm-bench-1", "wall_ms": {"fig5": 404.807, "table1": 0}}|} with
+  | Ok l ->
+      Alcotest.(check (list (pair string (float 0.)))) "entries" [ ("fig5", 404.807); ("table1", 0.) ] l
+  | Error msg -> Alcotest.fail msg);
+  List.iter
+    (fun (content, needle) ->
+      match load content with
+      | Ok _ -> Alcotest.failf "accepted %S" content
+      | Error msg -> Alcotest.(check bool) (needle ^ " in " ^ msg) true (contains msg needle))
+    [
+      ("not json", "at byte 0");
+      ({|{"wall_ms": {}}|}, "no entries");
+      ({|{"wall_ms": {"fig5": "fast"}}|}, "not a number");
+      ({|{"micro_ns_per_op": {}}|}, "no \"wall_ms\"");
+    ]
 
 let suite =
   [
@@ -188,5 +214,6 @@ let suite =
         Alcotest.test_case "scale from env" `Quick test_scale_of_env;
         Alcotest.test_case "figure rendering" `Quick test_render_figure;
         Alcotest.test_case "trace summary histograms" `Quick test_trace_summary_histograms;
+        Alcotest.test_case "load baseline" `Quick test_load_baseline;
       ] );
   ]

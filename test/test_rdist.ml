@@ -88,6 +88,19 @@ let test_profile_json_roundtrip () =
   | Error msg -> Alcotest.failf "round-trip decode failed: %s" msg
   | Ok p' -> check Alcotest.string "re-encoded bytes" json (Profile.to_json p')
 
+(* A hostile file of 1 MiB of '[' is refused at the nesting limit, at once:
+   no deep recursion, no scan to the end of the input. *)
+let test_profile_nesting_bounded () =
+  let t0 = Unix.gettimeofday () in
+  let r = Profile.of_json (String.make (1 lsl 20) '[') in
+  let dt = Unix.gettimeofday () -. t0 in
+  (match r with
+  | Ok _ -> Alcotest.fail "accepted"
+  | Error msg ->
+      check Alcotest.string "names the limit and the offset"
+        "invalid profile: nesting deeper than 64 at byte 64" msg);
+  Alcotest.(check bool) "returns at once" true (dt < 0.5)
+
 (* -- golden ---------------------------------------------------------------- *)
 
 let update_golden = Sys.getenv_opt "CCDSM_UPDATE_GOLDEN" <> None
@@ -198,6 +211,7 @@ let suite =
         qcheck_fenwick;
         Alcotest.test_case "fenwick compaction vs brute force" `Quick test_fenwick_compaction;
         Alcotest.test_case "profile JSON round-trip" `Quick test_profile_json_roundtrip;
+        Alcotest.test_case "profile nesting bounded" `Quick test_profile_nesting_bounded;
         Alcotest.test_case "golden: jacobi stache profile" `Quick test_golden_profile;
         Alcotest.test_case "predict deterministic" `Quick test_predict_deterministic;
         Alcotest.test_case "prepare+eval = predict" `Quick test_prepare_eval_equals_predict;

@@ -136,7 +136,20 @@ let test_job_parse_rejects () =
      the cache key either. *)
   reject "step_jobs" {|{"app":"w","protocol":"s","step_jobs":2}|} "unknown key";
   reject "garbage" {|{"app":"w","protocol":"s"} trailing|} "trailing";
-  reject "not json" {|water stache|} "expected"
+  reject "not json" {|water stache|} "expected";
+  (* Numbers follow the JSON grammar. *)
+  reject "leading plus" {|{"app":"w","protocol":"s","nodes":+8}|} "expected";
+  reject "leading dot" {|{"app":"w","protocol":"s","nodes":.5}|} "expected";
+  reject "leading zero" {|{"app":"w","protocol":"s","nodes":08}|} "expected"
+
+let test_job_parse_standard_json () =
+  (* Standard escapes, as common client encoders emit them for non-ASCII. *)
+  (match Job.parse {|{"id":"\u0061","app":"w","protocol":"s"}|} with
+  | Ok { id; _ } -> check Alcotest.(option string) "echoed id" (Some {|"a"|}) id
+  | Error msg -> Alcotest.fail msg);
+  match Job.parse {|{"app":"w","protocol":"s","nodes":8.0}|} with
+  | Ok { spec; _ } -> check Alcotest.int "integral float accepted" 8 spec.Job.nodes
+  | Error msg -> Alcotest.fail msg
 
 let test_job_parse_timeline () =
   (match Job.parse {|{"kind":"timeline","id":9}|} with
@@ -550,6 +563,7 @@ let suite =
         Alcotest.test_case "job parse defaults" `Quick test_job_parse_defaults;
         Alcotest.test_case "job canonical stable" `Quick test_job_canonical_stable;
         Alcotest.test_case "job parse rejects" `Quick test_job_parse_rejects;
+        Alcotest.test_case "job parse standard JSON" `Quick test_job_parse_standard_json;
         Alcotest.test_case "job parse timeline kind" `Quick test_job_parse_timeline;
         Alcotest.test_case "cache compute then hit" `Quick test_cache_compute_then_hit;
         Alcotest.test_case "cache admit rejection" `Quick test_cache_admit_rejection;

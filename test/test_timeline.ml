@@ -163,9 +163,26 @@ let test_load_errors () =
       let oc = open_out path in
       output_string oc "{\"type\":\"msg\",\"kind\":\"data\",\"bytes\":32}\n";
       close_out oc;
-      match Timeline.load path with
+      (match Timeline.load path with
       | Ok _ -> Alcotest.fail "non-timeline file loaded"
-      | Error msg -> Alcotest.(check bool) "says not a timeline" true (contains msg "timeline"))
+      | Error msg -> Alcotest.(check bool) "says not a timeline" true (contains msg "timeline"));
+      (* Malformed shapes are errors, not exceptions. *)
+      let header nodes =
+        Printf.sprintf {|{"type":"timeline","version":1,"nodes":%d,"buckets":["a"],"kinds":[]}|} nodes
+      in
+      List.iter
+        (fun content ->
+          match Timeline.of_jsonl content with
+          | Ok _ -> Alcotest.failf "accepted %S" content
+          | Error _ -> ())
+        [
+          header 0;
+          header max_int;
+          {|{"type":"timeline"|};
+          header 2
+          ^ {|
+{"type":"segment","id":0,"label":"x","t0":0,"t1":1,"node_bucket":[1],"node_kind":[0,0],"fill":[0,0]}|};
+        ])
 
 (* -- collector on real runs ------------------------------------------------ *)
 
@@ -206,15 +223,27 @@ let test_collector_causal () =
       roundtrip_or_fail tl)
     [ Runtime.Stache; Runtime.Predictive ]
 
+(* Arbitrary byte strings, weighted towards the bytes a JSON writer must
+   escape and bytes >= 0x80. *)
+let any_string =
+  QCheck2.Gen.(
+    string_size ~gen:(frequency [ (3, char); (1, oneofl [ '\t'; '\r'; '"'; '\\'; '\x80'; '\xff' ]) ])
+      (0 -- 12))
+
 (* Random machine programs: any interleaving of reads, writes and barriers
    must keep every contract — causal edges, bounded critical paths, exact
-   residuals and a byte-stable serialization. *)
+   residuals and a byte-stable serialization, also of spans and segments
+   named by arbitrary strings. *)
 let test_qcheck_contracts =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:50
        ~name:"random programs keep causality, crit bound and exactness"
-       QCheck2.Gen.(list_size (0 -- 60) (triple (0 -- 3) (0 -- 31) (0 -- 3)))
-       (fun ops ->
+       QCheck2.Gen.(
+         triple
+           (list_size (0 -- 60) (triple (0 -- 3) (0 -- 31) (0 -- 3)))
+           (list_size (0 -- 4) (pair any_string any_string))
+           any_string)
+       (fun (ops, names, label) ->
          let m = Machine.create (Machine.default_config ~num_nodes:4 ~block_bytes:32 ()) in
          ignore (Engine.stache m);
          let a = Machine.alloc m ~words:8 ~home:0 in
@@ -237,12 +266,22 @@ let test_qcheck_contracts =
            QCheck2.Test.fail_report "a parent ends after its child starts";
          if crit_violations tl <> [] then
            QCheck2.Test.fail_report "a critical path exceeds its segment wall";
+         List.iter
+           (fun (cat, name) -> ignore (Timeline.span tl ~track:0 ~cat ~name ~t0:0.0 ~dur:1.0 ()))
+           names;
+         Timeline.seal tl ~label ~t1:1e9;
          let j = Timeline.to_jsonl tl in
          (match Timeline.of_jsonl j with
          | Error e -> QCheck2.Test.fail_reportf "round-trip parse failed: %s" e
          | Ok t2 ->
              if Timeline.to_jsonl t2 <> j then
-               QCheck2.Test.fail_report "round-trip not byte-identical");
+               QCheck2.Test.fail_report "round-trip not byte-identical";
+             let strings t =
+               List.map (fun (s : Timeline.span) -> (s.Timeline.cat, s.Timeline.name)) (Timeline.spans t),
+               List.map (fun (s : Timeline.segment) -> s.Timeline.label) (Timeline.segments t)
+             in
+             if strings t2 <> strings tl then
+               QCheck2.Test.fail_report "names, categories or labels changed");
          true))
 
 (* The Chrome export of a jacobi/stache run is a pinned byte format. *)

@@ -279,6 +279,72 @@ let test_ascii_bars () =
      in
      contains "2.00x" s)
 
+(* -- Json ----------------------------------------------------------------- *)
+
+(* Bytes that steer the parser into every branch: structure, escapes,
+   number syntax, control characters and non-ASCII. *)
+let json_ish =
+  QCheck2.Gen.(
+    string_size ~gen:(oneofl (String.to_seq "{}[]\":,\\/ubnrtf0123456789-+.eE \n\tx\001\xc3\xa9" |> List.of_seq))
+      (0 -- 40))
+
+let error_offset msg =
+  let tag = " at byte " in
+  let n = String.length msg and m = String.length tag in
+  let rec find i = if i < 0 then None else if String.sub msg i m = tag then Some i else find (i - 1) in
+  Option.bind (find (n - m)) (fun i -> int_of_string_opt (String.sub msg (i + m) (n - i - m)))
+
+let test_json_quote_roundtrip =
+  qtest ~count:500 "parse (quote s) = String s" QCheck2.Gen.string (fun s ->
+      Json.parse (Json.quote s) = Ok (Json.String s))
+
+let test_json_never_raises =
+  qtest ~count:1000 "parse of random bytes never raises"
+    QCheck2.Gen.(oneof [ string; json_ish ])
+    (fun s ->
+      ignore (Json.parse s);
+      true)
+
+let test_json_error_offsets =
+  qtest ~count:1000 "error offsets lie in [0, length]"
+    QCheck2.Gen.(oneof [ string; json_ish ])
+    (fun s ->
+      match Json.parse s with
+      | Ok _ -> true
+      | Error msg -> (
+          match error_offset msg with
+          | Some at -> at >= 0 && at <= String.length s
+          | None -> QCheck2.Test.fail_reportf "no offset in %S" msg))
+
+let test_json_grammar () =
+  let ok what src v =
+    match Json.parse src with
+    | Ok v' -> Alcotest.(check bool) what true (v' = v)
+    | Error msg -> Alcotest.failf "%s: %s" what msg
+  in
+  let bad what src =
+    match Json.parse src with Ok _ -> Alcotest.failf "%s: accepted %S" what src | Error _ -> ()
+  in
+  ok "int stays exact" "4611686018427387903" (Json.Int max_int);
+  ok "int overflow widens" "4611686018427387904" (Json.Float 4611686018427387904.);
+  ok "fraction" " -1.5e2 " (Json.Float (-150.));
+  ok "escapes" {|"\"\\\/\b\f\n\r\t"|} (Json.String "\"\\/\b\012\n\r\t");
+  ok "\\u escape" {|"a\u00e9"|} (Json.String "a\xc3\xa9");
+  ok "surrogate pair" {|"\ud83d\ude00"|} (Json.String "\xf0\x9f\x98\x80");
+  ok "members in order" {|{"b":[true,null],"a":{}}|}
+    (Json.Obj [ ("b", Json.List [ Json.Bool true; Json.Null ]); ("a", Json.Obj []) ]);
+  ok "64 levels" (String.make 64 '[' ^ String.make 64 ']')
+    (List.init 63 Fun.id |> List.fold_left (fun v _ -> Json.List [ v ]) (Json.List []));
+  (match Json.parse "-0" with
+  | Ok (Json.Float z) -> Alcotest.(check bool) "-0 keeps its sign" true (1. /. z < 0.)
+  | _ -> Alcotest.fail "-0");
+  List.iter
+    (fun src -> bad src src)
+    [ "+1"; ".5"; "05"; "1."; "-"; "1e"; "tru"; {|"\x"|}; {|"\ud83d"|}; "\"a\tb\""; {|{"a":1,"a":2}|};
+      "[1,]"; "{} x"; ""; String.make 65 '[' ^ String.make 65 ']' ];
+  Alcotest.(check string) "quote bytes" ({|"q\"b\\n\nt\tr\rb\bf\fc\u0001\u001fd|} ^ "\127\xc3\xa9\"")
+    (Json.quote "q\"b\\n\nt\tr\rb\bf\012c\001\031d\127\xc3\xa9")
+
 let suite =
   [
     ( "util.prng",
@@ -326,5 +392,12 @@ let suite =
       [
         Alcotest.test_case "table" `Quick test_ascii_table;
         Alcotest.test_case "stacked bars" `Quick test_ascii_bars;
+      ] );
+    ( "util.json",
+      [
+        Alcotest.test_case "grammar" `Quick test_json_grammar;
+        test_json_quote_roundtrip;
+        test_json_never_raises;
+        test_json_error_offsets;
       ] );
   ]
