@@ -6,7 +6,6 @@ module Trace = Ccdsm_tempest.Trace
 module Faults = Ccdsm_tempest.Faults
 module Engine = Ccdsm_proto.Engine
 module Directory = Ccdsm_proto.Directory
-module Bulk = Ccdsm_proto.Bulk
 module Coherence = Ccdsm_proto.Coherence
 
 module Obs = Ccdsm_obs.Obs
@@ -22,11 +21,22 @@ type stats = {
   mutable presend_grants_w : int;
 }
 
+(* A growable int vector, reused from one presend to the next. *)
+type vec = { mutable keys : int array; mutable len : int }
+
+let vec () = { keys = [||]; len = 0 }
+
 type t = {
   eng : Engine.t;
   machine : Machine.t;
   schedules : (int, Schedule.t) Hashtbl.t;
-  presended : (int * Machine.block, unit) Hashtbl.t;
+  recall : vec;
+  inval : vec;
+  data : vec;
+  grant_only : vec;
+  grants : vec;
+  mutable presended : int array;
+      (* this phase's presend grants as sorted (node, block) keys *)
   lost : (int * Machine.block, unit) Hashtbl.t;
       (* (node, block) presend grants dropped by the fault injector this
          phase: the node believes it holds the block, the simulator knows it
@@ -62,11 +72,47 @@ let schedule_for t phase =
       Hashtbl.add t.schedules phase s;
       s
 
+(* The presend's queues and its set of grants hold packed int keys:
+   [key hi b = (hi lsl 40) lor b], where [hi] is a node (grants) or a
+   (source, destination) pair [src * nodes + dst] (queues).  Nodes are at
+   most {!Nodeset.max_nodes} = 2^10, so a pair fits in 20 bits, and
+   ascending keys order pairs first and blocks within a pair. *)
+let block_bits = 40
+let key hi b = (hi lsl block_bits) lor b
+let pair_of k = k lsr block_bits
+
+let push v k =
+  if v.len = Array.length v.keys then begin
+    let keys = Array.make (max 256 (2 * v.len)) 0 in
+    Array.blit v.keys 0 keys 0 v.len;
+    v.keys <- keys
+  end;
+  Array.unsafe_set v.keys v.len k;
+  v.len <- v.len + 1
+
+(* The entries of [v] in ascending order, as a fresh array.  Merge sort:
+   about twice as fast as [Array.sort]'s heap sort on these queues. *)
+let sorted v =
+  let a = Array.sub v.keys 0 v.len in
+  Array.stable_sort (fun (x : int) y -> compare x y) a;
+  a
+
+(* Whether [k] is in the ascending array [a]. *)
+let mem_sorted a k =
+  let rec go lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) lsr 1 in
+    let x = Array.unsafe_get a mid in
+    x = k || if x < k then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
 let record t ~node b ~write =
   match t.current with
   | None -> ()
   | Some p ->
-      if Hashtbl.mem t.presended (node, b) then t.st.presend_undone <- t.st.presend_undone + 1;
+      if mem_sorted t.presended (key node b) then t.st.presend_undone <- t.st.presend_undone + 1;
       if Hashtbl.mem t.lost (node, b) then begin
         (* The presend grant for this block was dropped in flight, so this
            demand miss is the recovery path; the record_read/record_write
@@ -93,100 +139,113 @@ let record t ~node b ~write =
 
 (* -- presend ------------------------------------------------------------- *)
 
-(* Flush the per-destination presend queues.  With coalescing on, each
-   (source, destination) pair exchanges one gather message: runs of
-   neighbouring blocks share an 8-byte address header, so contiguity still
-   pays.  With coalescing off (ablation), every block travels alone.  Keys
-   are flushed in sorted order, so output does not depend on hash-table
-   order. *)
-let flush_presend t ~recall ~inval ~data ~grant_only =
+(* [f src dst lo hi] for each maximal range [lo, hi) of one pair in the
+   sorted keys [a], in ascending pair order. *)
+let iter_pairs ~nodes a f =
+  let n = Array.length a in
+  let lo = ref 0 in
+  while !lo < n do
+    let p = pair_of a.(!lo) in
+    let hi = ref (!lo + 1) in
+    while !hi < n && pair_of a.(!hi) = p do
+      incr hi
+    done;
+    f (p / nodes) (p mod nodes) !lo !hi;
+    lo := !hi
+  done
+
+(* The number of keys of pair [p] in the sorted keys [a], searching from
+   [!j]; [j] moves past every smaller pair, so ascending queries over one
+   array cost one walk. *)
+let count_pair a j p =
+  let n = Array.length a in
+  while !j < n && pair_of a.(!j) < p do
+    incr j
+  done;
+  let start = !j in
+  while !j < n && pair_of a.(!j) = p do
+    incr j
+  done;
+  !j - start
+
+(* Flush the presend queues.  With coalescing on, each (source,
+   destination) pair exchanges one gather message: runs of neighbouring
+   blocks share an 8-byte address header, so contiguity still pays.  With
+   coalescing off (ablation), every block travels alone.  Each queue is
+   sorted, then swept pair by pair, so output does not depend on the order
+   the scan queued in. *)
+let flush_presend t =
   let m = t.machine in
+  let nodes = Machine.num_nodes m in
   let net = Machine.net m in
   let ctrl = net.Network.ctrl_bytes in
+  let bb = Machine.block_bytes m in
   let send ~from_ ~dst ~kind ~bytes =
     Machine.count_msg m ~node:from_ ~dst ~kind ~bytes ();
     Machine.charge m ~node:from_ Machine.Presend (Network.msg_cost net ~bytes);
     t.st.presend_msgs <- t.st.presend_msgs + 1
   in
   let charge_home h cost = Machine.charge m ~node:h Machine.Presend cost in
-  (* (bytes, block-count) descriptors of the messages carrying a block
-     list: one gather message when coalescing, one per block otherwise. *)
-  let block_list_msgs blocks =
-    let runs = Bulk.runs blocks in
-    (match t.run_len_hist with
-    | Some h -> List.iter (fun (_, len) -> Obs.Histogram.observe h (float_of_int len)) runs
-    | None -> ());
-    let nblocks = List.fold_left (fun acc (_, len) -> acc + len) 0 runs in
-    if t.coalesce then
-      [ (ctrl + (nblocks * Machine.block_bytes m) + (8 * List.length runs), nblocks) ]
+  (* [f bytes blocks] for each message carrying the block list [a.(lo..hi-1)]
+     (one pair, ascending): one gather message when coalescing, one per block
+     otherwise.  Each run's length is observed as it closes. *)
+  let block_list_msgs a lo hi f =
+    let runs = ref 0 in
+    let start = ref lo in
+    for i = lo to hi - 1 do
+      if i = hi - 1 || a.(i + 1) <> a.(i) + 1 then begin
+        incr runs;
+        (match t.run_len_hist with
+        | Some h -> Obs.Histogram.observe h (float_of_int (i + 1 - !start))
+        | None -> ());
+        start := i + 1
+      end
+    done;
+    let nblocks = hi - lo in
+    if t.coalesce then f (ctrl + (nblocks * bb) + (8 * !runs)) nblocks
     else
-      List.concat_map
-        (fun (_, len) -> List.init len (fun _ -> (ctrl + Machine.block_bytes m, 1)))
-        runs
+      for _ = 1 to nblocks do
+        f (ctrl + bb) 1
+      done
   in
-  let sorted_keys q = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) q []) in
   (* Recalls: request from home, bulk data back from the old owner; the
      home stalls until the data is back, so it pays the round trip. *)
-  List.iter
-    (fun (o, h) ->
-      let blocks = !(Hashtbl.find recall (o, h)) in
+  let recall = sorted t.recall in
+  iter_pairs ~nodes recall (fun o h lo hi ->
       Machine.count_msg m ~node:h ~dst:o ~kind:Trace.Recall ~bytes:ctrl ();
       charge_home h (Network.msg_cost net ~bytes:ctrl);
-      List.iter
-        (fun (bytes, blocks) ->
-          ignore blocks;
+      block_list_msgs recall lo hi (fun bytes _ ->
           Machine.count_msg m ~node:o ~dst:h ~kind:Trace.Data ~bytes ();
           charge_home h (Network.msg_cost net ~bytes);
           t.st.presend_msgs <- t.st.presend_msgs + 2;
-          t.st.presend_bytes <- t.st.presend_bytes + bytes)
-        (block_list_msgs blocks))
-    (sorted_keys recall);
+          t.st.presend_bytes <- t.st.presend_bytes + bytes));
   (* Invalidation notices: one batched notice per victim plus one ack. *)
-  List.iter
-    (fun (h, r) ->
-      let k = !(Hashtbl.find inval (h, r)) in
-      let bytes = ctrl + (4 * k) in
-      send ~from_:h ~dst:r ~kind:Trace.Inval ~bytes;
+  iter_pairs ~nodes (sorted t.inval) (fun h r lo hi ->
+      send ~from_:h ~dst:r ~kind:Trace.Inval ~bytes:(ctrl + (4 * (hi - lo)));
       Machine.count_msg m ~node:r ~dst:h ~kind:Trace.Ack ~bytes:ctrl ();
       charge_home h (Network.msg_cost net ~bytes:ctrl);
-      t.st.presend_msgs <- t.st.presend_msgs + 1)
-    (sorted_keys inval);
-  (* Data grants. *)
-  List.iter
-    (fun (h, dest) ->
-      let blocks = !(Hashtbl.find data (h, dest)) in
-      let extra =
-        match Hashtbl.find_opt grant_only (h, dest) with
-        | Some r ->
-            Hashtbl.remove grant_only (h, dest);
-            4 * !r
-        | None -> 0
-      in
-      List.iteri
-        (fun i (bytes, blocks) ->
-          let bytes = if i = 0 then bytes + extra else bytes in
+      t.st.presend_msgs <- t.st.presend_msgs + 1);
+  (* Data grants; a pair's permission-only upgrades ride on its first data
+     message. *)
+  let data = sorted t.data in
+  let grant_only = sorted t.grant_only in
+  let g = ref 0 in
+  iter_pairs ~nodes data (fun h dest lo hi ->
+      let extra = ref (4 * count_pair grant_only g ((h * nodes) + dest)) in
+      block_list_msgs data lo hi (fun bytes blocks ->
+          let bytes = bytes + !extra in
+          extra := 0;
           send ~from_:h ~dst:dest ~kind:Trace.Data ~bytes;
           t.st.presend_blocks <- t.st.presend_blocks + blocks;
-          t.st.presend_bytes <- t.st.presend_bytes + bytes)
-        (block_list_msgs blocks))
-    (sorted_keys data);
+          t.st.presend_bytes <- t.st.presend_bytes + bytes));
   (* Pure permission upgrades with no data riding along. *)
-  List.iter
-    (fun (h, dest) ->
-      let k = !(Hashtbl.find grant_only (h, dest)) in
-      send ~from_:h ~dst:dest ~kind:Trace.Grant ~bytes:(ctrl + (4 * k)))
-    (sorted_keys grant_only);
+  let d = ref 0 in
+  iter_pairs ~nodes grant_only (fun h dest lo hi ->
+      if count_pair data d ((h * nodes) + dest) = 0 then
+        send ~from_:h ~dst:dest ~kind:Trace.Grant ~bytes:(ctrl + (4 * (hi - lo))));
   (* "the protocol enforces a global barrier synchronization to ensure
      that all protocol cache block states are stable" (section 3.4). *)
   Machine.barrier m ~bucket:Machine.Presend
-
-let push q key b =
-  match Hashtbl.find_opt q key with
-  | Some l -> l := b :: !l
-  | None -> Hashtbl.add q key (ref [ b ])
-
-let bump q key =
-  match Hashtbl.find_opt q key with Some r -> incr r | None -> Hashtbl.add q key (ref 1)
 
 (* The presend (section 3.4): one scan over the phase's schedule in sorted
    block order that queues every transfer by (source, destination), then
@@ -196,14 +255,15 @@ let presend_scan t phase sched =
   let dir = t.eng.Engine.dir in
   let net = Machine.net m in
   let ctrl = net.Network.ctrl_bytes in
-  (* Per-destination queues, so every leg of the presend travels in bulk:
-     [recall] brings dirty copies back to their homes, [inval] carries
-     batched invalidation notices, [data] carries block grants, [grant]
-     carries permission-only upgrades. *)
-  let recall : (int * int, Machine.block list ref) Hashtbl.t = Hashtbl.create 16 in
-  let inval : (int * int, int ref) Hashtbl.t = Hashtbl.create 16 in
-  let data : (int * int, Machine.block list ref) Hashtbl.t = Hashtbl.create 16 in
-  let grant_only : (int * int, int ref) Hashtbl.t = Hashtbl.create 16 in
+  let nodes = Machine.num_nodes m in
+  if Machine.num_blocks m > 1 lsl block_bits then
+    invalid_arg "Predictive: block ids must stay below 2^40";
+  (* Queues, so every leg of the presend travels in bulk: [recall] brings
+     dirty copies back to their homes, [inval] carries batched invalidation
+     notices, [data] carries block grants, [grant_only] carries
+     permission-only upgrades.  [grants] collects this phase's grants. *)
+  List.iter (fun v -> v.len <- 0) [ t.recall; t.inval; t.data; t.grant_only; t.grants ];
+  let queue v src dst b = push v (key ((src * nodes) + dst) b) in
   let downgrade node b =
     Machine.note_downgrade m ~node;
     Machine.set_tag m ~node b Tag.Read_only
@@ -269,7 +329,7 @@ let presend_scan t phase sched =
           | Directory.Exclusive o ->
               downgrade o b;
               Directory.set dir b (Directory.Shared (Nodeset.singleton o));
-              if o <> h then push recall (o, h) b
+              if o <> h then queue t.recall o h b
           | Directory.Shared _ -> ());
           let cur =
             match Directory.get dir b with
@@ -291,14 +351,14 @@ let presend_scan t phase sched =
                 | v ->
                     grant_noise ~h ~dst:r ~kind:Trace.Data ~bytes v;
                     Machine.set_tag m ~node:r b Tag.Read_only;
-                    Hashtbl.replace t.presended (r, b) ();
+                    push t.grants (key r b);
                     (* Always-on, mirroring the Presend trace event
                        one-for-one so a trace-derived count agrees with
                        this counter to the exact integer. *)
                     t.st.presend_grants_r <- t.st.presend_grants_r + 1;
                     if Machine.traced m then
                       Machine.emit m (Trace.Presend { phase; block = b; dst = r; write = false });
-                    if r <> h then push data (h, r) b)
+                    if r <> h then queue t.data h r b)
               missing;
             let granted =
               if Nodeset.is_empty !dropped then rs else Nodeset.diff rs !dropped
@@ -323,23 +383,24 @@ let presend_scan t phase sched =
                 (match Directory.get dir b with
                 | Directory.Exclusive o ->
                     invalidate o b;
-                    if o <> h then push recall (o, h) b
+                    if o <> h then queue t.recall o h b
                 | Directory.Shared readers ->
                     Nodeset.iter
                       (fun r ->
                         invalidate r b;
-                        if r <> h then bump inval (h, r))
+                        if r <> h then queue t.inval h r b)
                       (Nodeset.remove w readers));
                 Machine.set_tag m ~node:w b Tag.Read_write;
-                Hashtbl.replace t.presended (w, b) ();
+                push t.grants (key w b);
                 t.st.presend_grants_w <- t.st.presend_grants_w + 1;
                 if Machine.traced m then
                   Machine.emit m (Trace.Presend { phase; block = b; dst = w; write = true });
                 if w <> h then
-                  if had_copy then bump grant_only (h, w) else push data (h, w) b;
+                  if had_copy then queue t.grant_only h w b else queue t.data h w b;
                 Directory.set dir b (Directory.Exclusive w)
           end);
-  flush_presend t ~recall ~inval ~data ~grant_only
+  t.presended <- sorted t.grants;
+  flush_presend t
 
 let presend t phase =
   match Hashtbl.find_opt t.schedules phase with
@@ -393,7 +454,12 @@ let create ?(per_block_us = 1.0) ?(record_us = 2.0) ?(coalesce = true)
       eng;
       machine;
       schedules = Hashtbl.create 16;
-      presended = Hashtbl.create 256;
+      recall = vec ();
+      inval = vec ();
+      data = vec ();
+      grant_only = vec ();
+      grants = vec ();
+      presended = [||];
       lost = Hashtbl.create 32;
       current = None;
       per_block_us;
@@ -437,7 +503,7 @@ let coherence t =
     phase_begin =
       (fun ~phase ->
         t.current <- Some phase;
-        Hashtbl.reset t.presended;
+        t.presended <- [||];
         Hashtbl.reset t.lost;
         corrupt_schedule t phase;
         presend t phase);

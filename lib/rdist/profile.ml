@@ -548,6 +548,55 @@ let decode_segment j =
     rdist = Array.map decode_hist (get (Json.to_array Option.some) "rdist" j);
   }
 
+(* The model sizes per-node tables by [nodes], indexes them by event nodes
+   and homes, and lays runs out in the profiled geometry, so a profile
+   breaking any of these rules is rejected here instead of crashing it.
+   Runs must lie inside the words allocated before them: a real profile
+   never touches memory before its allocation. *)
+let validate (p : t) =
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+  if p.nodes < 1 || p.nodes > Ccdsm_util.Nodeset.max_nodes then
+    bad "field \"nodes\": %d is outside [1, %d]" p.nodes Ccdsm_util.Nodeset.max_nodes;
+  if p.block_bytes < 8 || p.block_bytes land (p.block_bytes - 1) <> 0 then
+    bad "field \"block_bytes\": %d is not a power of two >= 8" p.block_bytes;
+  let wpb = p.block_bytes / 8 in
+  let allocated = ref 0 in
+  let alloc seq w =
+    if w < 0 then bad "segment %d: allocation of %d words" seq w;
+    allocated := !allocated + ((w + wpb - 1) / wpb * wpb)
+  in
+  Array.iter
+    (fun (sg : segment) ->
+      let node what n =
+        if n < 0 || n >= p.nodes then
+          bad "segment %d: %s %d is not below %d nodes" sg.seq what n p.nodes
+      in
+      Array.iter
+        (function
+          | Alloc { words; home } ->
+              node "alloc home" home;
+              alloc sg.seq words
+          | Heap_alloc { node = n; words; spilled } ->
+              node "heap alloc node" n;
+              if spilled then alloc sg.seq (max words (p.arena_blocks * wpb))
+          | Run { node = n; addr; stride; count; _ } ->
+              node "run node" n;
+              (* All [count] words [addr + k * stride] within
+                 [0, allocated), without overflowing. *)
+              let inside =
+                count >= 1 && addr >= 0 && addr < !allocated
+                && (count = 1 || stride = 0
+                   || (if stride > 0 then (!allocated - 1 - addr) / stride else addr / -stride)
+                      >= count - 1)
+              in
+              if not inside then
+                bad "segment %d: run of %d words at %d (stride %d) outside the %d words allocated"
+                  sg.seq count addr stride !allocated
+          | Flush _ -> ())
+        sg.events)
+    p.segments;
+  p
+
 let of_json s =
   match
     let j = match Json.parse s with Ok j -> j | Error msg -> raise (Bad msg) in
@@ -565,6 +614,7 @@ let of_json s =
       out_bucket_us = decode_buckets outside;
       segments = Array.map decode_segment (get (Json.to_array Option.some) "segments" j);
     }
+    |> validate
   with
   | p -> Ok p
   | exception Bad msg -> Error ("invalid profile: " ^ msg)

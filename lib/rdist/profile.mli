@@ -112,6 +112,12 @@ val to_json : t -> string
     reloads bit-for-bit.  Byte-stable: equal profiles encode identically. *)
 
 val of_json : string -> (t, string) result
+(** Decode and check a profile.  [Error] has a one-line message for malformed
+    JSON, a missing or mistyped field, and for a profile the model cannot
+    replay: [nodes] outside [[1, Nodeset.max_nodes]], [block_bytes] not a
+    power of two >= 8, an event node or allocation home not below [nodes],
+    or a run reaching outside the words allocated before it. *)
+
 val save : string -> t -> unit
 val load : string -> (t, string) result
 (** [load path] reads and decodes; [Error] has a one-line message for a

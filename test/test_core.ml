@@ -423,6 +423,291 @@ let test_predictive_bulk_coalescing () =
   check Alcotest.int "three messages total" 3 st.Predictive.presend_msgs;
   check Alcotest.int "two blocks granted" 2 st.Predictive.presend_blocks
 
+(* Every leg of one presend on a 70-node machine (the byte-string Nodeset
+   arm), pinned message by message: recalls from remote exclusive owners,
+   batched invalidations to several readers, data grants to one pair forming
+   two runs with a gap, grant-only upgrades riding on a data message to the
+   same pair, and a grant-only pair with no data.  The schedule is set by
+   hand and the machine state by accesses outside any phase, so only the
+   presend runs after [reset_stats]. *)
+let presend_legs ~coalesce =
+  let module Trace = Ccdsm_tempest.Trace in
+  let m = Machine.create (Machine.default_config ~num_nodes:70 ~block_bytes:32 ()) in
+  let p = Predictive.create ~coalesce m in
+  let coh = Predictive.coherence p in
+  let wpb = Machine.words_per_block m in
+  let region ~home n =
+    let a = Machine.alloc m ~words:(n * wpb) ~home in
+    Array.init n (fun k -> a + (k * wpb))
+  in
+  let b = region ~home:3 2 in
+  let a = region ~home:65 9 in
+  (* One recorded fault creates phase 5's schedule; then every mark is set
+     by hand. *)
+  coh.Coherence.phase_begin ~phase:5;
+  ignore (Machine.read m ~node:64 b.(0));
+  coh.Coherence.phase_end ~phase:5;
+  let s = Option.get (Predictive.schedule p ~phase:5) in
+  let readers l = Schedule.Readers (Nodeset.of_list l) in
+  List.iter
+    (fun (addr, mark) -> Schedule.set_mark s (Machine.block_of m addr) mark)
+    [
+      (b.(0), readers [ 64 ]);
+      (b.(1), Schedule.Writer 3);
+      (a.(0), readers [ 66 ]);
+      (a.(1), readers [ 66 ]);
+      (a.(3), readers [ 66; 68 ]);
+      (a.(4), Schedule.Writer 66);
+      (a.(5), Schedule.Writer 66);
+      (a.(6), Schedule.Writer 67);
+      (a.(7), Schedule.Writer 69);
+      (a.(8), readers [ 69 ]);
+    ];
+  Machine.write m ~node:3 b.(0) 1.0;
+  List.iter (fun r -> ignore (Machine.read m ~node:r b.(1))) [ 64; 69 ];
+  Machine.write m ~node:67 a.(0) 1.0;
+  List.iter
+    (fun r ->
+      ignore (Machine.read m ~node:r a.(4));
+      ignore (Machine.read m ~node:r a.(5)))
+    [ 66; 68; 69 ];
+  ignore (Machine.read m ~node:67 a.(6));
+  Machine.write m ~node:68 a.(7) 1.0;
+  ignore (Machine.read m ~node:69 a.(8));
+  Machine.reset_stats m;
+  (* One log in program order: every message, every charge before the
+     closing barrier, and each node's Presend bucket as the barrier starts. *)
+  let log = ref [] in
+  let add fmt = Printf.ksprintf (fun l -> log := l :: !log) fmt in
+  let at_barrier = ref false in
+  Machine.set_timeline m
+    (Some
+       {
+         Machine.tml_charge =
+           (fun ~node bucket ~us ->
+             if not !at_barrier then add "charge %d %s %h" node (Machine.bucket_name bucket) us);
+         tml_compute = (fun ~node:_ ~us:_ ~count:_ -> ());
+         tml_reset = ignore;
+       });
+  Machine.subscribe m (function
+    | Trace.Msg { src; dst; bytes; kind } ->
+        add "msg %d>%d %s %d" src dst (Trace.msg_kind_name kind) bytes
+    | Trace.Barrier _ ->
+        at_barrier := true;
+        for n = 0 to 69 do
+          let us = Machine.bucket_time m ~node:n Machine.Presend in
+          if us <> 0.0 then add "presend %d %h" n us
+        done
+    | _ -> ());
+  coh.Coherence.phase_begin ~phase:5;
+  let st = Predictive.stats p in
+  let c = Machine.total_counters m in
+  let after = List.init 70 (fun n -> Machine.bucket_time m ~node:n Machine.Presend) in
+  List.rev !log
+  @ [
+      Printf.sprintf "after barrier %h on all: %b" (List.hd after)
+        (List.for_all (( = ) (List.hd after)) after);
+      Printf.sprintf "stats recorded=%d msgs=%d blocks=%d bytes=%d redundant=%d undone=%d r=%d w=%d"
+        st.Predictive.faults_recorded st.Predictive.presend_msgs st.Predictive.presend_blocks
+        st.Predictive.presend_bytes st.Predictive.presend_redundant st.Predictive.presend_undone
+        st.Predictive.presend_grants_r st.Predictive.presend_grants_w;
+      Printf.sprintf
+        "counters lr=%d lw=%d rf=%d wf=%d msgs=%d bytes=%d inval=%d down=%d retry=%d timeout=%d \
+         fallback=%d"
+        c.Machine.local_reads c.Machine.local_writes c.Machine.read_faults c.Machine.write_faults
+        c.Machine.msgs c.Machine.bytes c.Machine.invalidations c.Machine.downgrades
+        c.Machine.retries c.Machine.timeouts c.Machine.presend_fallbacks;
+    ]
+
+(* Expected logs.  Bucket times and traces elsewhere depend on this exact
+   order of messages and charges, so any queueing or flush change that
+   reorders them shows here line by line. *)
+let presend_legs_coalesced =
+  [
+    "charge 3 presend 0x1p+0";
+    "charge 3 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "msg 65>67 recall 16";
+    "charge 65 presend 0x1.3266666666666p+6";
+    "msg 67>65 data 56";
+    "charge 65 presend 0x1.4266666666666p+6";
+    "msg 65>68 recall 16";
+    "charge 65 presend 0x1.3266666666666p+6";
+    "msg 68>65 data 56";
+    "charge 65 presend 0x1.4266666666666p+6";
+    "msg 3>64 inval 20";
+    "charge 3 presend 0x1.34p+6";
+    "msg 64>3 ack 16";
+    "charge 3 presend 0x1.3266666666666p+6";
+    "msg 3>69 inval 20";
+    "charge 3 presend 0x1.34p+6";
+    "msg 69>3 ack 16";
+    "charge 3 presend 0x1.3266666666666p+6";
+    "msg 65>68 inval 24";
+    "charge 65 presend 0x1.359999999999ap+6";
+    "msg 68>65 ack 16";
+    "charge 65 presend 0x1.3266666666666p+6";
+    "msg 65>69 inval 24";
+    "charge 65 presend 0x1.359999999999ap+6";
+    "msg 69>65 ack 16";
+    "charge 65 presend 0x1.3266666666666p+6";
+    "msg 3>64 data 56";
+    "charge 3 presend 0x1.4266666666666p+6";
+    "msg 65>66 data 136";
+    "charge 65 presend 0x1.6266666666666p+6";
+    "msg 65>68 data 56";
+    "charge 65 presend 0x1.4266666666666p+6";
+    "msg 65>69 data 56";
+    "charge 65 presend 0x1.4266666666666p+6";
+    "msg 65>67 grant 20";
+    "charge 65 presend 0x1.34p+6";
+    "presend 3 0x1.85cccccccccccp+8";
+    "presend 65 0x1.de9999999999ap+9";
+    "after barrier 0x1.00ccccccccccdp+10 on all: true";
+    "stats recorded=1 msgs=17 blocks=6 bytes=416 redundant=1 undone=0 r=5 w=5";
+    "counters lr=0 lw=0 rf=0 wf=0 msgs=17 bytes=620 inval=10 down=4 retry=0 timeout=0 fallback=0";
+  ]
+
+let presend_legs_uncoalesced =
+  [
+    "charge 3 presend 0x1p+0";
+    "charge 3 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "charge 65 presend 0x1p+0";
+    "msg 65>67 recall 16";
+    "charge 65 presend 0x1.3266666666666p+6";
+    "msg 67>65 data 48";
+    "charge 65 presend 0x1.3f33333333333p+6";
+    "msg 65>68 recall 16";
+    "charge 65 presend 0x1.3266666666666p+6";
+    "msg 68>65 data 48";
+    "charge 65 presend 0x1.3f33333333333p+6";
+    "msg 3>64 inval 20";
+    "charge 3 presend 0x1.34p+6";
+    "msg 64>3 ack 16";
+    "charge 3 presend 0x1.3266666666666p+6";
+    "msg 3>69 inval 20";
+    "charge 3 presend 0x1.34p+6";
+    "msg 69>3 ack 16";
+    "charge 3 presend 0x1.3266666666666p+6";
+    "msg 65>68 inval 24";
+    "charge 65 presend 0x1.359999999999ap+6";
+    "msg 68>65 ack 16";
+    "charge 65 presend 0x1.3266666666666p+6";
+    "msg 65>69 inval 24";
+    "charge 65 presend 0x1.359999999999ap+6";
+    "msg 69>65 ack 16";
+    "charge 65 presend 0x1.3266666666666p+6";
+    "msg 3>64 data 48";
+    "charge 3 presend 0x1.3f33333333333p+6";
+    "msg 65>66 data 56";
+    "charge 65 presend 0x1.4266666666666p+6";
+    "msg 65>66 data 48";
+    "charge 65 presend 0x1.3f33333333333p+6";
+    "msg 65>66 data 48";
+    "charge 65 presend 0x1.3f33333333333p+6";
+    "msg 65>68 data 48";
+    "charge 65 presend 0x1.3f33333333333p+6";
+    "msg 65>69 data 48";
+    "charge 65 presend 0x1.3f33333333333p+6";
+    "msg 65>67 grant 20";
+    "charge 65 presend 0x1.34p+6";
+    "presend 3 0x1.85p+8";
+    "presend 65 0x1.1466666666666p+10";
+    "after barrier 0x1.25e6666666666p+10 on all: true";
+    "stats recorded=1 msgs=19 blocks=6 bytes=392 redundant=1 undone=0 r=5 w=5";
+    "counters lr=0 lw=0 rf=0 wf=0 msgs=19 bytes=596 inval=10 down=4 retry=0 timeout=0 fallback=0";
+  ]
+
+let test_predictive_presend_legs_70_nodes () =
+  let lines = Alcotest.(list string) in
+  check lines "coalesced" presend_legs_coalesced (presend_legs ~coalesce:true);
+  check lines "uncoalesced" presend_legs_uncoalesced (presend_legs ~coalesce:false)
+
+(* [presend_undone] counts demand faults on a (node, block) pair granted by
+   this phase's presend: the pair, not the block alone, and this phase only.
+   A grant lost in flight is a presend fallback instead. *)
+let test_predictive_presend_undone () =
+  let undone p = (Predictive.stats p).Predictive.presend_undone in
+  let read_faults m n = (Machine.counters m ~node:n).Machine.read_faults in
+  (* Phase 1 records node 2 reading [a] and node 3 reading [a2]; node 0's
+     writes outside any phase take both copies away again. *)
+  let setup () =
+    let m, p, coh = predictive_machine () in
+    let a = Machine.alloc m ~words:4 ~home:1 in
+    let a2 = Machine.alloc m ~words:4 ~home:1 in
+    coh.Coherence.phase_begin ~phase:1;
+    ignore (Machine.read m ~node:2 a);
+    ignore (Machine.read m ~node:3 a2);
+    coh.Coherence.phase_end ~phase:1;
+    Machine.write m ~node:0 a 1.0;
+    Machine.write m ~node:0 a2 1.0;
+    (m, p, coh, a, a2)
+  in
+  (* Same phase: node 3's fault on [a] was granted to node 2 only; node 2's
+     fault on [a] is undone. *)
+  let m, p, coh, a, a2 = setup () in
+  coh.Coherence.phase_begin ~phase:1;
+  Machine.write m ~node:0 a 2.0;
+  ignore (Machine.read m ~node:3 a);
+  check Alcotest.int "other node's grant" 0 (undone p);
+  ignore (Machine.read m ~node:2 a);
+  check Alcotest.int "granted then faulted" 1 (undone p);
+  ignore (Machine.read m ~node:3 a2);
+  check Alcotest.int "granted and kept" 1 (undone p);
+  coh.Coherence.phase_end ~phase:1;
+  (* Previous phase: node 2's grant of [a] comes with phase 1, so its
+     faults on [a] in later phases are not undone — in phase 3, which has
+     no presend, and in phase 2, whose presend grants [a2] to node 3. *)
+  let m, p, coh, a, a2 = setup () in
+  coh.Coherence.phase_begin ~phase:2;
+  ignore (Machine.read m ~node:3 a2);
+  coh.Coherence.phase_end ~phase:2;
+  let grant_then_take () =
+    Machine.write m ~node:0 a 2.0;
+    coh.Coherence.phase_begin ~phase:1;
+    check tag "phase 1 presend" Tag.Read_only (Machine.tag m ~node:2 (Machine.block_of m a));
+    coh.Coherence.phase_end ~phase:1;
+    Machine.write m ~node:0 a 3.0
+  in
+  let before = read_faults m 2 in
+  grant_then_take ();
+  coh.Coherence.phase_begin ~phase:3;
+  ignore (Machine.read m ~node:2 a);
+  coh.Coherence.phase_end ~phase:3;
+  grant_then_take ();
+  Machine.write m ~node:0 a2 2.0;
+  coh.Coherence.phase_begin ~phase:2;
+  check tag "phase 2 presend" Tag.Read_only (Machine.tag m ~node:3 (Machine.block_of m a2));
+  ignore (Machine.read m ~node:2 a);
+  coh.Coherence.phase_end ~phase:2;
+  check Alcotest.int "faulted twice" (before + 2) (read_faults m 2);
+  check Alcotest.int "previous phase's grant" 0 (undone p);
+  (* Dropped grant: every presend grant is lost, so node 2's fault is the
+     fallback path. *)
+  let m, p, coh, a, _ = setup () in
+  let module Faults = Ccdsm_tempest.Faults in
+  Machine.set_faults m (Some (Faults.create { Faults.none with Faults.drop = 1.0 }));
+  coh.Coherence.phase_begin ~phase:1;
+  Machine.set_faults m None;
+  ignore (Machine.read m ~node:2 a);
+  coh.Coherence.phase_end ~phase:1;
+  check Alcotest.int "fallback" 1 (Machine.counters m ~node:2).Machine.presend_fallbacks;
+  check Alcotest.int "dropped grant" 0 (undone p)
+
 let test_predictive_equivalence_with_stache =
   (* Whatever the phase directives, predictive must compute the same values
      as plain Stache on a random racy-free access pattern. *)
@@ -491,6 +776,9 @@ let suite =
         Alcotest.test_case "presend bucket charged" `Quick
           test_predictive_presend_charges_presend_bucket;
         Alcotest.test_case "bulk coalescing" `Quick test_predictive_bulk_coalescing;
+        Alcotest.test_case "presend legs at 70 nodes" `Quick
+          test_predictive_presend_legs_70_nodes;
+        Alcotest.test_case "presend undone" `Quick test_predictive_presend_undone;
         test_predictive_equivalence_with_stache;
       ] );
   ]

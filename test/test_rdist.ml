@@ -101,6 +101,89 @@ let test_profile_nesting_bounded () =
         "invalid profile: nesting deeper than 64 at byte 64" msg);
   Alcotest.(check bool) "returns at once" true (dt < 0.5)
 
+(* [Profile.of_json] refuses a profile the model would index out of
+   bounds: each case edits the jacobi profile to break one rule. *)
+let jacobi_profile = lazy (collect_jacobi ())
+
+let rejects edits () =
+  List.iter
+    (fun (edit, msg) ->
+      match Profile.of_json (Profile.to_json (edit (Lazy.force jacobi_profile))) with
+      | Ok _ -> Alcotest.failf "accepted; want %s" msg
+      | Error e -> check Alcotest.string "error" ("invalid profile: " ^ msg) e)
+    edits
+
+(* Replace the first event matching [f] (which returns [Some replacement]). *)
+let edit_event f (p : Profile.t) =
+  let hit = ref false in
+  let segments =
+    Array.map
+      (fun (s : Profile.segment) ->
+        let events =
+          Array.map
+            (fun ev ->
+              match (!hit, f ev) with
+              | false, Some ev' ->
+                  hit := true;
+                  ev'
+              | _ -> ev)
+            s.Profile.events
+        in
+        { s with Profile.events })
+      p.Profile.segments
+  in
+  if not !hit then Alcotest.fail "no event to edit";
+  { p with Profile.segments }
+
+let test_profile_rejects_nodes =
+  rejects
+    [
+      ((fun p -> { p with Profile.nodes = 0 }), {|field "nodes": 0 is outside [1, 1024]|});
+      ((fun p -> { p with Profile.nodes = 1025 }), {|field "nodes": 1025 is outside [1, 1024]|});
+    ]
+
+let test_profile_rejects_block_bytes =
+  rejects
+    (List.map
+       (fun b ->
+         ( (fun p -> { p with Profile.block_bytes = b }),
+           Printf.sprintf {|field "block_bytes": %d is not a power of two >= 8|} b ))
+       [ 0; 4; 24 ])
+
+let test_profile_rejects_event_nodes =
+  rejects
+    [
+      ( edit_event (function
+          | Profile.Alloc a -> Some (Profile.Alloc { a with home = 4 })
+          | _ -> None),
+        "segment 0: alloc home 4 is not below 4 nodes" );
+      ( edit_event (function
+          | Profile.Run r -> Some (Profile.Run { r with node = 4 })
+          | _ -> None),
+        "segment 1: run node 4 is not below 4 nodes" );
+      ( edit_event (function
+          | Profile.Run r -> Some (Profile.Run { r with node = -1 })
+          | _ -> None),
+        "segment 1: run node -1 is not below 4 nodes" );
+    ]
+
+let test_profile_rejects_stray_runs =
+  let run addr stride count =
+    edit_event (function
+      | Profile.Run r -> Some (Profile.Run { r with addr; stride; count })
+      | _ -> None)
+  in
+  rejects
+    [
+      (run 32 1 1, "segment 1: run of 1 words at 32 (stride 1) outside the 32 words allocated");
+      (run 30 1 3, "segment 1: run of 3 words at 30 (stride 1) outside the 32 words allocated");
+      (run 1 (-1) 3, "segment 1: run of 3 words at 1 (stride -1) outside the 32 words allocated");
+      ( run 0 max_int 3,
+        Printf.sprintf "segment 1: run of 3 words at 0 (stride %d) outside the 32 words allocated"
+          max_int );
+      (run 0 1 0, "segment 1: run of 0 words at 0 (stride 1) outside the 32 words allocated");
+    ]
+
 (* -- golden ---------------------------------------------------------------- *)
 
 let update_golden = Sys.getenv_opt "CCDSM_UPDATE_GOLDEN" <> None
@@ -212,6 +295,12 @@ let suite =
         Alcotest.test_case "fenwick compaction vs brute force" `Quick test_fenwick_compaction;
         Alcotest.test_case "profile JSON round-trip" `Quick test_profile_json_roundtrip;
         Alcotest.test_case "profile nesting bounded" `Quick test_profile_nesting_bounded;
+        Alcotest.test_case "profile rejects nodes out of range" `Quick test_profile_rejects_nodes;
+        Alcotest.test_case "profile rejects bad block_bytes" `Quick
+          test_profile_rejects_block_bytes;
+        Alcotest.test_case "profile rejects event nodes" `Quick test_profile_rejects_event_nodes;
+        Alcotest.test_case "profile rejects runs outside allocations" `Quick
+          test_profile_rejects_stray_runs;
         Alcotest.test_case "golden: jacobi stache profile" `Quick test_golden_profile;
         Alcotest.test_case "predict deterministic" `Quick test_predict_deterministic;
         Alcotest.test_case "prepare+eval = predict" `Quick test_prepare_eval_equals_predict;
