@@ -301,8 +301,9 @@ let test_rdist_record =
           i := (!i * 7) + 13;
           ignore (Sys.opaque_identity (Ccdsm_rdist.Stack_dist.access sd (!i land 511)))))
 
-(* Machine read with and without a collector attached: the profiled-flag
-   overhead row (the off cost must stay at the micro-local-hit level). *)
+(* Machine read with and without the profile collector attached: the
+   observer overhead row (the off cost must stay at the micro-local-hit
+   level). *)
 let profiled_read_pair () =
   let mk profiled =
     let m = Machine.create (small_machine ()) in
@@ -321,10 +322,10 @@ let profiled_read_pair () =
 
 let test_read_unprofiled, test_read_profiled = profiled_read_pair ()
 
-(* The same off/on pair for the timeline collector: with no sink installed a
-   machine read must cost the micro-local-hit level (the immediate-flag hot
-   path), and the recorded row prices what a collector-attached read pays
-   (trace emission + charge-hook accounting). *)
+(* The same off/on pair for the timeline collector: with no observer
+   attached a machine read must cost the micro-local-hit level (the
+   immediate-flag hot path), and the recorded row prices what a
+   collector-attached read pays (event emission + compute-hook accounting). *)
 let timeline_read_pair () =
   let mk timed =
     let m = Machine.create (small_machine ()) in

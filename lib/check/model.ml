@@ -159,9 +159,13 @@ let make_sys ?recorder cfg =
   let machine =
     Machine.create (Machine.default_config ~num_nodes:cfg.nodes ~block_bytes:32 ())
   in
-  (* The recorder (if any) subscribes first so it captures the violating
+  (* The recorder (if any) is attached first so it captures the violating
      event even when the sanitizer raises on it. *)
-  (match recorder with None -> () | Some f -> Machine.subscribe machine f);
+  (match recorder with
+  | None -> ()
+  | Some f ->
+      let (_ : unit -> unit) = Machine.observe machine { Machine.silent with event = f } in
+      ());
   let coh, dir, mode, pred, wu, mig, com =
     match cfg.protocol with
     | Predictive ->

@@ -86,8 +86,8 @@ val make_sys : ?recorder:(Trace.event -> unit) -> config -> sys
     alphabet writes from different nodes with no phase structure), one
     4-word block per [config.blocks] homed round-robin, and — when
     [config.faults] — a zero-rate scripted fault injector.  [recorder]
-    subscribes to the trace bus {e before} the sanitizer so it captures the
-    violating event even when the sanitizer raises on it. *)
+    is attached as an [event] observer {e before} the sanitizer so it
+    captures the violating event even when the sanitizer raises on it. *)
 
 val apply : sys -> op -> unit
 (** Execute one op.  May raise {!Violation} (read-value mismatch) or

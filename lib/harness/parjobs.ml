@@ -10,7 +10,7 @@
 
    The process-global state in a simulation's path is the global trace sink
    ([Trace.set_global]) and the global metrics registry ([Obs.set_global]):
-   machines subscribe both at creation, a JSONL sink writes to one channel
+   machines attach both at creation, a JSONL sink writes to one channel
    and a registry accumulates into shared instruments, so when either is
    installed the map degrades to sequential execution — the trace byte
    stream and the metrics snapshot stay the deterministic single-threaded

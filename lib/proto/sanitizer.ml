@@ -199,8 +199,8 @@ let on_event t ev =
 
 (* [create] builds a detached sanitizer: the caller feeds it events
    explicitly (the trace-replay oracle drives one from a recorded JSONL
-   stream against a mirror machine).  [attach] is the live form, subscribed
-   to the machine's trace bus. *)
+   stream against a mirror machine).  [attach] is the live form, attached
+   to the machine as an [event] observer. *)
 let create ?(mode = Invalidate) ?dir ?(check_races = true) machine =
   {
     machine;
@@ -220,7 +220,7 @@ let feed t ev = on_event t ev
 
 let attach ?mode ?dir ?check_races machine =
   let t = create ?mode ?dir ?check_races machine in
-  Machine.subscribe machine (on_event t);
+  let (_ : unit -> unit) = Machine.observe machine { Machine.silent with event = on_event t } in
   t
 
 let events_seen t = t.seen

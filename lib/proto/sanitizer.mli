@@ -69,19 +69,19 @@ val to_string : violation -> string
 
 val attach :
   ?mode:mode -> ?dir:Directory.t -> ?check_races:bool -> Machine.t -> t
-(** Create a sanitizer and subscribe it to [machine]'s event bus.  [mode]
-    defaults to [Invalidate]; pass [dir] to enable directory/tag agreement
-    checking; [check_races] defaults to [true]. *)
+(** Create a sanitizer and attach it to [machine] as an [event] observer.
+    [mode] defaults to [Invalidate]; pass [dir] to enable directory/tag
+    agreement checking; [check_races] defaults to [true]. *)
 
 val create :
   ?mode:mode -> ?dir:Directory.t -> ?check_races:bool -> Machine.t -> t
-(** Like {!attach} but without subscribing: the caller pushes events through
+(** Like {!attach} but without attaching: the caller pushes events through
     {!feed} explicitly.  The trace-replay oracle uses this to validate
     recorded JSONL traces against a mirror machine whose tags it maintains
     from the replayed [Tag_change] events. *)
 
 val feed : t -> Trace.event -> unit
-(** Validate one event (exactly what the subscribed form does per event).
+(** Validate one event (exactly what the attached form does per event).
     @raise Violation when an invariant fails. *)
 
 val events_seen : t -> int

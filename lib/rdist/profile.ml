@@ -67,6 +67,7 @@ let bucket_of d =
    (node, words, spilled). *)
 type collector = {
   machine : Machine.t;
+  mutable detach : unit -> unit;
   sample_presends : (unit -> int) option;
   capp : string;
   cprotocol : string;
@@ -260,7 +261,7 @@ let close_segment c =
   Array.blit bt 0 c.closed_bucket 0 nmb;
   c.open_ <- false
 
-let prof_access c ~node ~addr ~write =
+let on_access c ~node ~addr ~write =
   if not c.open_ then open_segment c ~presend:false;
   if write then c.writes <- c.writes + 1 else c.reads <- c.reads + 1;
   let d = Stack_dist.access c.sd.(node) (addr / c.wpb) in
@@ -305,12 +306,12 @@ let prof_access c ~node ~addr ~write =
     end
   end
 
-let prof_alloc c ~words ~home =
+let on_alloc c ~words ~home =
   if not c.open_ then open_segment c ~presend:false;
   flush_run c;
   push_cell c 2 words home 0 0
 
-let prof_heap_alloc c ~node ~words ~spilled =
+let on_heap_alloc c ~node ~words ~spilled =
   if not c.open_ then open_segment c ~presend:false;
   flush_run c;
   (* A spilled heap allocation was immediately preceded by the raw
@@ -321,12 +322,12 @@ let prof_heap_alloc c ~node ~words ~spilled =
   if spilled && c.ev_len >= 5 && c.ev.(c.ev_len - 5) = 2 then c.ev_len <- c.ev_len - 5;
   push_cell c 3 node words (if spilled then 1 else 0) 0
 
-let prof_flush c ~phase =
+let on_flush c ~phase =
   if not c.open_ then open_segment c ~presend:false;
   flush_run c;
   push_cell c 4 phase 0 0 0
 
-let prof_phase c ~enter ~id ~name ~scheduled =
+let on_phase c ~enter ~id ~name ~scheduled =
   if enter then begin
     if c.open_ then close_segment c;
     c.stack <- (id, name, scheduled) :: c.stack;
@@ -343,6 +344,7 @@ let attach ?sample_presends ~app ~protocol ~arena_blocks machine =
   let c =
     {
       machine;
+      detach = ignore;
       sample_presends;
       capp = app;
       cprotocol = protocol;
@@ -389,19 +391,20 @@ let attach ?sample_presends ~app ~protocol ~arena_blocks machine =
   c.closed_msgs <- msgs;
   c.closed_bytes <- bytes;
   Array.blit (bucket_sums c) 0 c.closed_bucket 0 nmb;
-  Machine.set_profiler machine
-    (Some
-       {
-         Machine.prof_access = (fun ~node ~addr ~write -> prof_access c ~node ~addr ~write);
-         prof_alloc = (fun ~words ~home -> prof_alloc c ~words ~home);
-         prof_heap_alloc = (fun ~node ~words ~spilled -> prof_heap_alloc c ~node ~words ~spilled);
-         prof_phase = (fun ~enter ~id ~name ~scheduled -> prof_phase c ~enter ~id ~name ~scheduled);
-         prof_flush = (fun ~phase -> prof_flush c ~phase);
-       });
+  c.detach <-
+    Machine.observe machine
+      {
+        Machine.silent with
+        access = on_access c;
+        alloc = on_alloc c;
+        heap_alloc = on_heap_alloc c;
+        phase = on_phase c;
+        flush = on_flush c;
+      };
   c
 
 let finish c =
-  Machine.set_profiler c.machine None;
+  c.detach ();
   if c.open_ then close_segment c;
   let _, msgs, bytes, _ = counters c in
   c.out_msgs <- c.out_msgs + (msgs - c.closed_msgs);

@@ -19,9 +19,9 @@
       block-size-invariant traffic residual (reductions, barriers), and base
       the wall-clock cost model ({!Model.eval}).
 
-    Collection hooks into the machine through
-    {!Ccdsm_tempest.Machine.set_profiler} — the [profiled] fast-path flag —
-    and is pure observation: a profiled run produces byte-identical simulated
+    Collection is one {!Ccdsm_tempest.Machine.observer} (its [access],
+    [alloc], [heap_alloc], [phase] and [flush] hooks) and is pure
+    observation: a profiled run produces byte-identical simulated
     results.  The JSON encoding is canonical (fixed key order, round-trip
     float literals, one line per segment), so equal profiles are equal
     bytes. *)
@@ -86,9 +86,9 @@ val attach :
   arena_blocks:int ->
   Machine.t ->
   collector
-(** Install a collector as the machine's profiler.  [sample_presends] is
-    polled at segment boundaries (pass the predictive protocol's grant
-    counter to record per-segment presend actuals). *)
+(** Attach a collector to the machine ({!Ccdsm_tempest.Machine.observe}).
+    [sample_presends] is polled at segment boundaries (pass the predictive
+    protocol's grant counter to record per-segment presend actuals). *)
 
 val finish : collector -> t
 (** Detach the collector and build the profile. *)

@@ -109,7 +109,7 @@ let phase_scheduled p = p.scheduled
 
 let flush_phase t p =
   t.coherence.Coherence.flush_schedule ~phase:p.id;
-  if Machine.profiled t.machine then Machine.profile_flush t.machine ~phase:p.id
+  (Machine.observer t.machine).flush ~phase:p.id
 
 let charge_compute t ~node us = Machine.charge t.machine ~node Machine.Compute us
 
@@ -153,30 +153,20 @@ let watch_items t () =
       ]
   | None -> []
 
-(* Profile-collector notifications (no-ops unless a profiler is attached):
-   enter fires before the coherence phase_begin so the presend traffic lands
-   inside the phase's profile segment, exit after the closing barrier. *)
-let profile_enter t phase =
-  if Machine.profiled t.machine then begin
-    let id, name, scheduled =
-      match phase with Some p -> (p.id, p.pname, p.scheduled) | None -> (-1, "unscheduled", false)
-    in
-    Machine.profile_phase t.machine ~enter:true ~id ~name ~scheduled
-  end
-
-let profile_exit t phase =
-  if Machine.profiled t.machine then begin
-    let id, name, scheduled =
-      match phase with Some p -> (p.id, p.pname, p.scheduled) | None -> (-1, "unscheduled", false)
-    in
-    Machine.profile_phase t.machine ~enter:false ~id ~name ~scheduled
-  end
+(* Observer phase notifications: enter fires before the coherence
+   phase_begin so the presend traffic lands inside the phase's profile
+   segment, exit after the closing barrier. *)
+let observe_phase t phase ~enter =
+  let id, name, scheduled =
+    match phase with Some p -> (p.id, p.pname, p.scheduled) | None -> (-1, "unscheduled", false)
+  in
+  (Machine.observer t.machine).phase ~enter ~id ~name ~scheduled
 
 let run_phase t phase body =
   t.phases_run <- t.phases_run + 1;
   let exec () =
     let bracketed = match phase with Some p when p.scheduled -> Some p | _ -> None in
-    profile_enter t phase;
+    observe_phase t phase ~enter:true;
     (match bracketed with
     | Some p -> t.coherence.Coherence.phase_begin ~phase:p.id
     | None -> ());
@@ -185,7 +175,7 @@ let run_phase t phase body =
     | Some p -> t.coherence.Coherence.phase_end ~phase:p.id
     | None -> ());
     barrier t;
-    profile_exit t phase
+    observe_phase t phase ~enter:false
   in
   match t.obs with
   | None -> exec ()
@@ -248,11 +238,11 @@ let parallel_nodes t ?phase body =
 
 let phase_region t p body =
   if p.scheduled then begin
-    profile_enter t (Some p);
+    observe_phase t (Some p) ~enter:true;
     t.coherence.Coherence.phase_begin ~phase:p.id;
     let finish () =
       t.coherence.Coherence.phase_end ~phase:p.id;
-      profile_exit t (Some p)
+      observe_phase t (Some p) ~enter:false
     in
     match body () with
     | v ->

@@ -372,12 +372,16 @@ let reader_loop t conn =
       (Printf.sprintf "request line longer than %d bytes; closing connection" max_line_bytes);
     log_job t ~id:None ~key:None ~cache:"none" ~queue_wait_us:0.0 ~run_us:0.0 ~slow:false "error"
   end;
+  (* Nothing is written to a dead connection, so its reader owns the one
+     close: the client sees end-of-stream, and a long-lived daemon holds no
+     fd (and no [conns] entry) for a connection that has ended. *)
   Mutex.lock conn.wmutex;
   conn.alive <- false;
-  (* Shut down rather than close: the client sees end-of-stream, and [stop]
-     still owns closing the fd. *)
-  if too_long then (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with _ -> ());
-  Mutex.unlock conn.wmutex
+  (try Unix.close conn.fd with _ -> ());
+  Mutex.unlock conn.wmutex;
+  Mutex.lock t.conns_mutex;
+  t.conns <- List.filter (fun c -> c != conn) t.conns;
+  Mutex.unlock t.conns_mutex
 
 let accept_loop t fd handle =
   while not (Atomic.get t.stopping) do
@@ -523,9 +527,9 @@ let stop t =
     t.stopped <- true;
     Atomic.set t.stopping true;
     (* Accept/reader loops poll [stopping] every 100ms; join them first so
-       no new job can be submitted, then drain the admitted jobs (their
-       responses are written by the pool domains before the counter drops),
-       then tear the pool and the sockets down. *)
+       no new job can be submitted (each reader closes its connection as it
+       ends), then drain the admitted jobs, then tear the pool and the
+       listening sockets down. *)
     List.iter Thread.join t.accept_threads;
     Mutex.lock t.conns_mutex;
     let conns = t.conns in
@@ -537,13 +541,6 @@ let stop t =
     Atomic.set t.monitor_stop true;
     Option.iter Thread.join t.monitor;
     Pool.shutdown t.pool;
-    List.iter
-      (fun c ->
-        Mutex.lock c.wmutex;
-        c.alive <- false;
-        (try Unix.close c.fd with _ -> ());
-        Mutex.unlock c.wmutex)
-      conns;
     (try Unix.close t.listen_fd with _ -> ());
     Option.iter (fun fd -> try Unix.close fd with _ -> ()) t.http_fd;
     Option.iter (fun oc -> try close_out oc with _ -> ()) t.log_oc;

@@ -56,33 +56,55 @@ type handlers = {
   on_write_fault : node:int -> block -> unit;
 }
 
-(* Access-profiling hook (the reuse-distance collector).  A third observer
-   family next to [tracers] and [meters], with the same contract: a single
-   [profiled] flag is checked on the hot paths and nothing else happens when
-   it is off.  Like tracing, profiling is pure observation — it never
-   changes any simulated outcome. *)
-type profiler = {
-  prof_access : node:int -> addr:addr -> write:bool -> unit;
-  prof_alloc : words:int -> home:int -> unit;
-  prof_heap_alloc : node:int -> words:int -> spilled:bool -> unit;
-  prof_phase : enter:bool -> id:int -> name:string -> scheduled:bool -> unit;
-  prof_flush : phase:int -> unit;
+(* One observer record, one field per observation point.  [silent]'s
+   fields are the "unset" markers: composition drops them, and the access
+   and charge paths skip a hook still physically equal to [silent]'s. *)
+type observer = {
+  event : Trace.event -> unit;
+  access : node:int -> addr:addr -> write:bool -> unit;
+  alloc : words:int -> home:int -> unit;
+  heap_alloc : node:int -> words:int -> spilled:bool -> unit;
+  phase : enter:bool -> id:int -> name:string -> scheduled:bool -> unit;
+  flush : phase:int -> unit;
+  charge : node:int -> bucket -> us:float -> unit;
+  compute : node:int -> us:float -> count:int -> unit;
+  reset : unit -> unit;
 }
 
-(* Timeline hook (the causal-span collector).  The fourth observer family,
-   same immediate-flag contract as [profiled]: one [timed] test on the hot
-   paths, nothing else when off.  Unlike the profiler it observes *charges*
-   (the exact microsecond amounts entering the stats table), so a collector
-   that replays the same additions agrees with the stats table to the ULP. *)
-type timeline = {
-  tml_charge : node:int -> bucket -> us:float -> unit;
-      (** Called by {!charge} before the stats-table add — the collector can
-          still read the node's pre-charge clock. *)
-  tml_compute : node:int -> us:float -> count:int -> unit;
-      (** [count] repetitions of a [us] Compute charge (the word-at-a-time
-          access path and its batched range equivalent). *)
-  tml_reset : unit -> unit;  (** Mirror of {!reset_stats}. *)
-}
+let silent =
+  {
+    event = (fun _ -> ());
+    access = (fun ~node:_ ~addr:_ ~write:_ -> ());
+    alloc = (fun ~words:_ ~home:_ -> ());
+    heap_alloc = (fun ~node:_ ~words:_ ~spilled:_ -> ());
+    phase = (fun ~enter:_ ~id:_ ~name:_ ~scheduled:_ -> ());
+    flush = (fun ~phase:_ -> ());
+    charge = (fun ~node:_ _ ~us:_ -> ());
+    compute = (fun ~node:_ ~us:_ ~count:_ -> ());
+    reset = (fun () -> ());
+  }
+
+(* Field-wise composition: [a]'s hook runs before [b]'s, and a side still
+   holding [silent]'s hook drops out, so an unset hook stays unset. *)
+let pair a b =
+  let pick unset x y both = if x == unset then y else if y == unset then x else both x y in
+  {
+    event = pick silent.event a.event b.event (fun f g ev -> f ev; g ev);
+    access = pick silent.access a.access b.access (fun f g ~node ~addr ~write ->
+        f ~node ~addr ~write; g ~node ~addr ~write);
+    alloc = pick silent.alloc a.alloc b.alloc (fun f g ~words ~home ->
+        f ~words ~home; g ~words ~home);
+    heap_alloc = pick silent.heap_alloc a.heap_alloc b.heap_alloc (fun f g ~node ~words ~spilled ->
+        f ~node ~words ~spilled; g ~node ~words ~spilled);
+    phase = pick silent.phase a.phase b.phase (fun f g ~enter ~id ~name ~scheduled ->
+        f ~enter ~id ~name ~scheduled; g ~enter ~id ~name ~scheduled);
+    flush = pick silent.flush a.flush b.flush (fun f g ~phase -> f ~phase; g ~phase);
+    charge = pick silent.charge a.charge b.charge (fun f g ~node bucket ~us ->
+        f ~node bucket ~us; g ~node bucket ~us);
+    compute = pick silent.compute a.compute b.compute (fun f g ~node ~us ~count ->
+        f ~node ~us ~count; g ~node ~us ~count);
+    reset = pick silent.reset a.reset b.reset (fun f g () -> f (); g ());
+  }
 
 module Obs = Ccdsm_obs.Obs
 module A1 = Bigarray.Array1
@@ -143,16 +165,13 @@ type t = {
   mutable nblocks : int;  (* blocks allocated so far *)
   mutable word_limit : int;  (* = nblocks * words_per_block *)
   mutable handlers : handlers option;
-  mutable tracers : (Trace.event -> unit) array;  (* first [ntracers] slots live *)
-  mutable ntracers : int;
-  mutable traced : bool;  (* = ntracers > 0, checked on every access *)
+  mutable observers : observer list;  (* attach order *)
+  mutable hooks : observer;  (* composition of [observers]; [silent] when none *)
+  mutable observed : bool;  (* = observers <> [], the one test on every access *)
+  mutable traced : bool;  (* = hooks.event is set: guards event construction *)
   mutable faults : Faults.t option;  (* fault injector; None = reliable network *)
   meters : meters option;
   metered : bool;  (* = meters <> None, checked alongside [traced] *)
-  mutable profiler : profiler option;
-  mutable profiled : bool;  (* = profiler <> None, checked on every access *)
-  mutable timeline : timeline option;
-  mutable timed : bool;  (* = timeline <> None, checked on every charge *)
 }
 
 (* Tag bytes as stored in the flat tag table.  Literal so the per-access tag
@@ -170,6 +189,23 @@ let is_pow2 n = n > 0 && n land (n - 1) = 0
 let log2 n =
   let rec go k n = if n <= 1 then k else go (k + 1) (n lsr 1) in
   go 0 n
+
+(* Recompose after every attach or detach; the flags follow the observers,
+   so no caller can set a hook's flag without a hook behind it. *)
+let refresh t =
+  t.hooks <- List.fold_left pair silent t.observers;
+  t.observed <- t.observers <> [];
+  t.traced <- t.hooks.event != silent.event
+
+let observe t o =
+  (* A fresh copy, so its physical identity names this attachment even when
+     one record is attached twice. *)
+  let o = { o with reset = o.reset } in
+  t.observers <- t.observers @ [ o ];
+  refresh t;
+  fun () ->
+    t.observers <- List.filter (fun x -> x != o) t.observers;
+    refresh t
 
 let create cfg =
   if cfg.num_nodes < 1 || cfg.num_nodes > Ccdsm_util.Nodeset.max_nodes then
@@ -229,9 +265,10 @@ let create cfg =
       nblocks = 0;
       word_limit = 0;
       handlers = None;
-      tracers = (match sink with Some f -> [| f |] | None -> [||]);
-      ntracers = (match sink with Some _ -> 1 | None -> 0);
-      traced = sink <> None;
+      observers = [];
+      hooks = silent;
+      observed = false;
+      traced = false;
       faults =
         (* Like the trace sink, the CCDSM_FAULTS override is picked up at
            machine creation so experiment drivers that build machines
@@ -243,79 +280,26 @@ let create cfg =
         | Error msg -> invalid_arg ("Machine.create: " ^ msg));
       meters;
       metered = meters <> None;
-      profiler = None;
-      profiled = false;
-      timeline = None;
-      timed = false;
     }
   in
   (match sink with
   | None -> ()
-  | Some f -> f (Trace.Init { nodes = cfg.num_nodes; block_bytes = cfg.block_bytes }));
+  | Some f ->
+      let (_ : unit -> unit) = observe t { silent with event = f } in
+      f (Trace.Init { nodes = cfg.num_nodes; block_bytes = cfg.block_bytes }));
   t
 
-(* -- tracing ------------------------------------------------------------- *)
-
 let traced t = t.traced
+let emit t ev = t.hooks.event ev
+let observer t = t.hooks
 
 let subscribe t f =
-  (* Amortized O(1): doubling push, not a list append. *)
-  let n = t.ntracers in
-  if n = Array.length t.tracers then begin
-    let cap = max 4 (2 * n) in
-    let bigger = Array.make cap f in
-    Array.blit t.tracers 0 bigger 0 n;
-    t.tracers <- bigger
-  end;
-  t.tracers.(n) <- f;
-  t.ntracers <- n + 1;
-  t.traced <- true
-
-let emit t ev =
-  for i = 0 to t.ntracers - 1 do
-    (Array.unsafe_get t.tracers i) ev
-  done
+  let (_ : unit -> unit) = observe t { silent with event = f } in
+  ()
 
 let metered t = t.metered
 let obs t = match t.meters with Some m -> Some m.reg | None -> None
 
-(* -- profiling ----------------------------------------------------------- *)
-
-let profiled t = t.profiled
-
-let set_profiler t p =
-  t.profiler <- p;
-  t.profiled <- p <> None
-
-(* Cold out-of-line helpers so the hot paths only pay the [profiled] test. *)
-let[@inline never] prof_access t ~node ~addr ~write =
-  match t.profiler with Some p -> p.prof_access ~node ~addr ~write | None -> ()
-
-let[@inline never] prof_alloc t ~words ~home =
-  match t.profiler with Some p -> p.prof_alloc ~words ~home | None -> ()
-
-let profile_heap_alloc t ~node ~words ~spilled =
-  match t.profiler with Some p -> p.prof_heap_alloc ~node ~words ~spilled | None -> ()
-
-let profile_phase t ~enter ~id ~name ~scheduled =
-  match t.profiler with Some p -> p.prof_phase ~enter ~id ~name ~scheduled | None -> ()
-
-let profile_flush t ~phase =
-  match t.profiler with Some p -> p.prof_flush ~phase | None -> ()
-
-(* -- timeline ------------------------------------------------------------- *)
-
-let timed t = t.timed
-
-let set_timeline t tl =
-  t.timeline <- tl;
-  t.timed <- tl <> None
-
-let[@inline never] tml_charge_hook t ~node bucket ~us =
-  match t.timeline with Some h -> h.tml_charge ~node bucket ~us | None -> ()
-
-let[@inline never] tml_compute_hook t ~node ~us ~count =
-  match t.timeline with Some h -> h.tml_compute ~node ~us ~count | None -> ()
 let config t = t.cfg
 let num_nodes t = t.cfg.num_nodes
 let block_bytes t = t.cfg.block_bytes
@@ -388,8 +372,10 @@ let alloc t ~words ~home =
   done;
   t.nblocks <- first + blocks;
   t.word_limit <- t.nblocks * t.words_per_block;
-  if t.traced then emit t (Trace.Alloc { first_block = first; blocks; home });
-  if t.profiled then prof_alloc t ~words ~home;
+  if t.observed then begin
+    if t.traced then emit t (Trace.Alloc { first_block = first; blocks; home });
+    t.hooks.alloc ~words ~home
+  end;
   first * t.words_per_block
 
 (* -- tags --------------------------------------------------------------- *)
@@ -425,9 +411,13 @@ let set_tag t ~node b tg =
 
 (* -- time --------------------------------------------------------------- *)
 
+let[@inline never] charge_hook t ~node bucket ~us =
+  let h = t.hooks in
+  if h.charge != silent.charge then h.charge ~node bucket ~us
+
 let charge t ~node bucket us =
   check_node t node;
-  if t.timed then tml_charge_hook t ~node bucket ~us;
+  if t.observed then charge_hook t ~node bucket ~us;
   let i = (node lsl stat_shift) lor bucket_index bucket in
   A1.unsafe_set t.stats i (A1.unsafe_get t.stats i +. us)
 
@@ -559,7 +549,7 @@ let total_counters t =
 
 let reset_stats t =
   A1.fill t.stats 0.0;
-  match t.timeline with Some h -> h.tml_reset () | None -> ()
+  t.hooks.reset ()
 
 (* -- data path ---------------------------------------------------------- *)
 
@@ -598,31 +588,20 @@ let write_fault t ~node b =
   (handlers_exn t).on_write_fault ~node b;
   assert (Tag.permits_write (Tag.of_char (A1.get t.tags ((node lsl t.cap_shift) lor b))))
 
-let[@inline] add_compute t node us =
-  let i = node lsl stat_shift in
-  A1.unsafe_set t.stats i (A1.unsafe_get t.stats i +. us)
-
-let read t ~node a =
-  check_access t ~node a;
-  (* The profiler hook runs before the fault so a collector that snapshots
-     counters when an access opens a profile segment attributes the
-     triggering fault to that segment, not the gap before it. *)
-  if t.profiled then prof_access t ~node ~addr:a ~write:false;
+(* The access bookkeeping every path shares: service the fault if the tag
+   forbids the access, then bump the count and the Compute charge in one row
+   of one table.  Returns whether the access faulted. *)
+let[@inline] read_access t ~node a =
   let b = a lsr t.block_shift in
   let faulted = A1.unsafe_get t.tags ((node lsl t.cap_shift) lor b) = tag_invalid_char in
   if faulted then read_fault t ~node b;
-  (* Count bump and Compute charge land in one row of one table. *)
   let stats = t.stats in
   let i = node lsl stat_shift in
   A1.unsafe_set stats (i lor f_local_reads) (A1.unsafe_get stats (i lor f_local_reads) +. 1.0);
   A1.unsafe_set stats i (A1.unsafe_get stats i +. t.local_us);
-  if t.timed then tml_compute_hook t ~node ~us:t.local_us ~count:1;
-  if t.traced then emit t (Trace.Access { node; addr = a; write = false; faulted });
-  A1.unsafe_get t.mem a
+  faulted
 
-let write t ~node a v =
-  check_access t ~node a;
-  if t.profiled then prof_access t ~node ~addr:a ~write:true;
+let[@inline] write_access t ~node a =
   let b = a lsr t.block_shift in
   let faulted = A1.unsafe_get t.tags ((node lsl t.cap_shift) lor b) <> tag_read_write_char in
   if faulted then write_fault t ~node b;
@@ -630,16 +609,69 @@ let write t ~node a v =
   let i = node lsl stat_shift in
   A1.unsafe_set stats (i lor f_local_writes) (A1.unsafe_get stats (i lor f_local_writes) +. 1.0);
   A1.unsafe_set stats i (A1.unsafe_get stats i +. t.local_us);
-  if t.timed then tml_compute_hook t ~node ~us:t.local_us ~count:1;
-  if t.traced then emit t (Trace.Access { node; addr = a; write = true; faulted });
+  faulted
+
+(* Observed accesses leave the hot path here, and only the hooks some
+   observer set are called.  The access hook runs before the fault so a
+   profile collector that snapshots counters when an access opens a segment
+   attributes the triggering fault to that segment, not the gap before it. *)
+let[@inline never] observed_access t ~node a ~write =
+  let h = t.hooks in
+  if h.access != silent.access then h.access ~node ~addr:a ~write;
+  let faulted = if write then write_access t ~node a else read_access t ~node a in
+  if h.compute != silent.compute then h.compute ~node ~us:t.local_us ~count:1;
+  if t.traced then h.event (Trace.Access { node; addr = a; write; faulted })
+
+let read t ~node a =
+  check_access t ~node a;
+  if t.observed then observed_access t ~node a ~write:false else ignore (read_access t ~node a);
+  A1.unsafe_get t.mem a
+
+let write t ~node a v =
+  check_access t ~node a;
+  if t.observed then observed_access t ~node a ~write:true else ignore (write_access t ~node a);
   A1.unsafe_set t.mem a v
 
 (* -- batched data path --------------------------------------------------- *)
 
 (* Observationally identical to a word-at-a-time loop (values, counters,
-   bucket times, emitted events — the qcheck suite pins this), but the tag is
-   validated once per block rather than once per word, and when untraced the
-   per-word event branch disappears. *)
+   bucket times, hook calls and emitted events — the qcheck suite pins
+   this), but the tag is validated once per block rather than once per
+   word.  Each block span [lo, hi) of the range lands its [hi - lo] Compute
+   charges through a local accumulator — the same left-associated additions,
+   so bit-identical — and one table write. *)
+let[@inline] add_span t node n =
+  let i = node lsl stat_shift and us = t.local_us in
+  let acc = ref (A1.unsafe_get t.stats i) in
+  for _ = 1 to n do
+    acc := !acc +. us
+  done;
+  A1.unsafe_set t.stats i !acc
+
+let[@inline never] span_accesses t ~node a lo hi ~write =
+  let h = t.hooks in
+  if h.access != silent.access then
+    for k = lo to hi - 1 do
+      h.access ~node ~addr:(a + k) ~write
+    done
+
+(* The observed tail of a span.  Traced, the charges go word by word so each
+   event sees the clock a word loop would show it; only the word that trips
+   the fault reports [faulted], as later words see the now-valid tag. *)
+let[@inline never] observed_span t ~node a lo hi ~write ~faulted =
+  let h = t.hooks and us = t.local_us in
+  let computed = h.compute != silent.compute in
+  if t.traced then
+    for k = lo to hi - 1 do
+      let i = node lsl stat_shift in
+      A1.unsafe_set t.stats i (A1.unsafe_get t.stats i +. us);
+      if computed then h.compute ~node ~us ~count:1;
+      h.event (Trace.Access { node; addr = a + k; write; faulted = faulted && k = lo })
+    done
+  else begin
+    add_span t node (hi - lo);
+    if computed then h.compute ~node ~us ~count:(hi - lo)
+  end
 
 let read_range t ~node a dst =
   let n = Array.length dst in
@@ -647,45 +679,23 @@ let read_range t ~node a dst =
     check_access t ~node a;
     check_access t ~node (a + n - 1);
     let row = node lsl t.cap_shift in
-    let times = t.stats and ti = node lsl stat_shift and us = t.local_us in
     let pos = ref 0 in
     while !pos < n do
-      let w = a + !pos in
+      let lo = !pos and w = a + !pos in
       let b = w lsr t.block_shift in
       (* words of this block remaining in the range *)
-      let stop = min n (!pos + (((b + 1) lsl t.block_shift) - w)) in
-      if t.profiled then
-        for k = !pos to stop - 1 do
-          prof_access t ~node ~addr:(a + k) ~write:false
-        done;
+      let hi = min n (lo + (((b + 1) lsl t.block_shift) - w)) in
+      if t.observed then span_accesses t ~node a lo hi ~write:false;
       let faulted = A1.unsafe_get t.tags (row lor b) = tag_invalid_char in
       if faulted then read_fault t ~node b;
-      ctr_add t node f_local_reads (float_of_int (stop - !pos));
-      (* Word-at-a-time, only the word that trips the fault reports
-         [faulted]; later words of the block see the now-valid tag. *)
-      if t.traced then
-        for k = !pos to stop - 1 do
-          add_compute t node us;
-          if t.timed then tml_compute_hook t ~node ~us ~count:1;
-          emit t (Trace.Access { node; addr = a + k; write = false; faulted = faulted && k = !pos })
-        done
-      else begin
-        (* Untraced (nobody can observe mid-span state): accumulate the
-           word-at-a-time charges in a local — the same left-associated
-           additions, so bit-identical — and land them with one table
-           write per block span. *)
-        let acc = ref (A1.unsafe_get times ti) in
-        for _ = !pos to stop - 1 do
-          acc := !acc +. us
-        done;
-        A1.unsafe_set times ti !acc;
-        if t.timed then tml_compute_hook t ~node ~us ~count:(stop - !pos)
-      end;
+      ctr_add t node f_local_reads (float_of_int (hi - lo));
+      if t.observed then observed_span t ~node a lo hi ~write:false ~faulted
+      else add_span t node (hi - lo);
       let mem = t.mem in
-      for k = !pos to stop - 1 do
+      for k = lo to hi - 1 do
         Array.unsafe_set dst k (A1.unsafe_get mem (a + k))
       done;
-      pos := stop
+      pos := hi
     done
   end
 
@@ -695,37 +705,21 @@ let write_range t ~node a src =
     check_access t ~node a;
     check_access t ~node (a + n - 1);
     let row = node lsl t.cap_shift in
-    let times = t.stats and ti = node lsl stat_shift and us = t.local_us in
     let pos = ref 0 in
     while !pos < n do
-      let w = a + !pos in
+      let lo = !pos and w = a + !pos in
       let b = w lsr t.block_shift in
-      let stop = min n (!pos + (((b + 1) lsl t.block_shift) - w)) in
-      if t.profiled then
-        for k = !pos to stop - 1 do
-          prof_access t ~node ~addr:(a + k) ~write:true
-        done;
+      let hi = min n (lo + (((b + 1) lsl t.block_shift) - w)) in
+      if t.observed then span_accesses t ~node a lo hi ~write:true;
       let faulted = A1.unsafe_get t.tags (row lor b) <> tag_read_write_char in
       if faulted then write_fault t ~node b;
-      ctr_add t node f_local_writes (float_of_int (stop - !pos));
-      if t.traced then
-        for k = !pos to stop - 1 do
-          add_compute t node us;
-          if t.timed then tml_compute_hook t ~node ~us ~count:1;
-          emit t (Trace.Access { node; addr = a + k; write = true; faulted = faulted && k = !pos })
-        done
-      else begin
-        let acc = ref (A1.unsafe_get times ti) in
-        for _ = !pos to stop - 1 do
-          acc := !acc +. us
-        done;
-        A1.unsafe_set times ti !acc;
-        if t.timed then tml_compute_hook t ~node ~us ~count:(stop - !pos)
-      end;
+      ctr_add t node f_local_writes (float_of_int (hi - lo));
+      if t.observed then observed_span t ~node a lo hi ~write:true ~faulted
+      else add_span t node (hi - lo);
       let mem = t.mem in
-      for k = !pos to stop - 1 do
+      for k = lo to hi - 1 do
         A1.unsafe_set mem (a + k) (Array.unsafe_get src k)
       done;
-      pos := stop
+      pos := hi
     done
   end

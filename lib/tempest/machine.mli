@@ -83,23 +83,82 @@ val install : t -> handlers -> unit
 (** Install the coherence protocol's fault handlers.  Until installed, any
     fault raises [Failure]. *)
 
-(** {1 Event tracing}
+(** {1 Observers}
 
-    Machines publish {!Trace.event}s describing every observable coherence
-    action: faults, completed accesses, messages, tag transitions, barriers
-    and allocations (upper layers add phase, schedule and presend events
-    through {!emit}).  Emission is free when no subscriber is attached.  A
-    machine created while {!Trace.set_global} holds a sink starts with that
-    sink subscribed (and announces itself with an [Init] event). *)
+    Everything that watches a machine — the trace sink, the sanitizer, the
+    reuse-distance profile collector, the timeline collector — is an
+    {!observer} attached with {!observe}.  An observer has one hook per
+    observation point; it extends {!silent} with the hooks it needs, and the
+    hooks it leaves as [silent]'s are never composed in.  Attached observers
+    compose field by field in attach order, so each hook sees each
+    observation after every earlier-attached observer has.  An exception
+    raised by a hook (the sanitizer's [Violation]) propagates to the
+    observed operation.
+
+    Observation is free when nothing is attached: the hot paths test one
+    immediate flag.  Attached observers only add calls; they never change
+    a simulated outcome, so an observed run is byte-identical to a plain
+    one.  A machine created while {!Trace.set_global} holds a sink starts
+    with that sink attached as an [event] observer (and announces itself
+    to it with an [Init] event). *)
+
+type observer = {
+  event : Trace.event -> unit;
+      (** Every coherence event: faults, completed accesses, messages, tag
+          transitions, barriers and allocations, plus the phase, schedule
+          and presend events upper layers publish through {!emit}.
+          Attaching an [event] hook makes {!traced} true. *)
+  access : node:int -> addr:addr -> write:bool -> unit;
+      (** Every application data access ({!read}, {!write} and the
+          word-at-a-time expansion of the range accessors), before the
+          access's fault — if any — is serviced. *)
+  alloc : words:int -> home:int -> unit;  (** After {!alloc} completes. *)
+  heap_alloc : node:int -> words:int -> spilled:bool -> unit;
+      (** Called by the shared heap after a logical heap allocation;
+          [spilled] reports whether it triggered an underlying {!alloc}
+          (a fresh bump arena or a dedicated large object), which arrived
+          through [alloc] immediately before. *)
+  phase : enter:bool -> id:int -> name:string -> scheduled:bool -> unit;
+      (** Called by the runtime at parallel-phase boundaries ([id] = -1 for
+          unscheduled operations). *)
+  flush : phase:int -> unit;
+      (** Called when the application discards a phase's presend schedule
+          ([Runtime.flush_phase]). *)
+  charge : node:int -> bucket -> us:float -> unit;
+      (** Called by {!charge} (faults, exchanges, presends, barriers,
+          explicit task charges) before the stats-table add, so the hook
+          can still read the node's pre-charge {!time}. *)
+  compute : node:int -> us:float -> count:int -> unit;
+      (** [count] repetitions of a [us] Compute charge ({!read}/{!write} and
+          the range accessors' per-word expansion).  Replaying the [charge]
+          and [compute] additions in arrival order reproduces every bucket
+          of the stats table bit-for-bit. *)
+  reset : unit -> unit;  (** Called by {!reset_stats}. *)
+}
+
+val silent : observer
+(** Every hook a no-op: extend it with [{ silent with ... }]. *)
+
+val observe : t -> observer -> unit -> unit
+(** [observe t o] attaches [o] after the observers already attached and
+    returns its detach function (idempotent). *)
 
 val subscribe : t -> (Trace.event -> unit) -> unit
-(** Add an event subscriber.  Subscribers run synchronously, in subscription
-    order, at the emission point — an exception raised by a subscriber (the
-    sanitizer's [Violation]) propagates to the faulting access. *)
+(** [subscribe t f] attaches [{ silent with event = f }] for the machine's
+    lifetime. *)
 
 val traced : t -> bool
-(** [true] when at least one subscriber is attached; guards event
+(** [true] when an attached observer has an [event] hook; guards event
     construction on hot paths. *)
+
+val emit : t -> Trace.event -> unit
+(** Publish an event to the [event] hooks (used by the protocol, schedule
+    and runtime layers; a no-op call when none is attached). *)
+
+val observer : t -> observer
+(** The composition of the attached observers ({!silent} when none).  The
+    shared heap calls its [heap_alloc] and the runtime its [phase] and
+    [flush]. *)
 
 (** {1 Metrics}
 
@@ -115,80 +174,6 @@ val obs : t -> Ccdsm_obs.Obs.Registry.t option
 
 val metered : t -> bool
 (** [true] when a registry was installed at creation. *)
-
-(** {1 Access profiling}
-
-    The third observer family next to tracing and metering, used by the
-    reuse-distance profile collector ([Ccdsm_rdist]): one callback per
-    completed data access, allocation, heap allocation and runtime phase
-    transition.  The same pay-for-what-you-use rule applies — with no
-    profiler installed the hot paths only test one flag — and profiling is
-    pure observation: it never affects simulated results or message
-    traffic, so a profiled run stays byte-identical to an unprofiled one. *)
-
-type profiler = {
-  prof_access : node:int -> addr:addr -> write:bool -> unit;
-      (** Called for every application data access ({!read}, {!write} and
-          the word-at-a-time expansion of the range accessors), before the
-          access's fault — if any — is serviced. *)
-  prof_alloc : words:int -> home:int -> unit;
-      (** Called by {!alloc} after the allocation completes. *)
-  prof_heap_alloc : node:int -> words:int -> spilled:bool -> unit;
-      (** Called by the shared heap after a logical heap allocation;
-          [spilled] reports whether it triggered an underlying {!alloc}
-          (a fresh bump arena or a dedicated large object), which arrived
-          through {!field-prof_alloc} immediately before. *)
-  prof_phase : enter:bool -> id:int -> name:string -> scheduled:bool -> unit;
-      (** Called by the runtime at parallel-phase boundaries ([id] = -1 for
-          unscheduled operations). *)
-  prof_flush : phase:int -> unit;
-      (** Called when the application discards a phase's presend schedule
-          ([Runtime.flush_phase]); the model must mirror the flush to keep
-          its replayed schedules in lockstep. *)
-}
-
-val set_profiler : t -> profiler option -> unit
-val profiled : t -> bool
-
-val profile_heap_alloc : t -> node:int -> words:int -> spilled:bool -> unit
-(** Forward a heap allocation to the profiler (no-op when none installed);
-    called by [Shared_heap]. *)
-
-val profile_phase : t -> enter:bool -> id:int -> name:string -> scheduled:bool -> unit
-(** Forward a phase transition to the profiler; called by the runtime. *)
-
-val profile_flush : t -> phase:int -> unit
-(** Forward a schedule flush to the profiler; called by the runtime. *)
-
-(** {1 Timeline charges}
-
-    The fourth observer family, used by the causal-span collector
-    ([Timecap]): one callback per bucket charge carrying the exact
-    microsecond amount entering the stats table, plus a batched callback for
-    the word-at-a-time Compute charges.  Same pay-for-what-you-use rule as
-    the profiler — with no timeline installed the hot paths only test one
-    flag, so an untimed run is byte-identical to the pre-timeline
-    simulator.  A collector that replays the callbacks' additions in arrival
-    order reproduces every bucket of the stats table bit-for-bit; [Timecap]
-    checks exactly that as its residual invariant. *)
-
-type timeline = {
-  tml_charge : node:int -> bucket -> us:float -> unit;
-      (** Called by {!charge} (faults, exchanges, presends, barriers,
-          explicit task charges) before the stats-table add, so the
-          collector can still read the node's pre-charge {!time}. *)
-  tml_compute : node:int -> us:float -> count:int -> unit;
-      (** [count] repetitions of a [us] Compute charge ({!read}/{!write} and
-          the range accessors' per-word expansion). *)
-  tml_reset : unit -> unit;  (** Called by {!reset_stats}. *)
-}
-
-val set_timeline : t -> timeline option -> unit
-val timed : t -> bool
-
-val emit : t -> Trace.event -> unit
-(** Publish an event to all subscribers (used by the protocol, schedule and
-    runtime layers; no-op without subscribers). *)
 
 (** {1 Allocation} *)
 

@@ -1,8 +1,9 @@
 (** The timeline collector: turns one machine's Trace events and charge
     hooks into a causal {!Ccdsm_obs.Timeline.t}.
 
-    [attach m] subscribes to the machine's trace bus (so [Machine.traced]
-    becomes true) and installs the timeline charge hook.
+    [attach m] attaches one {!Machine.observer} whose [event], [charge],
+    [compute] and [reset] hooks feed the collector (so [Machine.traced]
+    becomes true).
     From then on every bucket charge is replayed into the timeline's exact
     per-node accounting, and the event stream is folded into spans:
 
@@ -32,13 +33,12 @@ module Timeline = Ccdsm_obs.Timeline
 type t
 
 val attach : Machine.t -> t
-(** Subscribe + install the charge hook.  At most one collector per machine
-    ({!Machine.set_timeline} holds a single slot); attaching a second one
-    replaces the hook and raises [Invalid_argument]. *)
+(** Attach a collector ({!Machine.observe}).  Any number of collectors may
+    watch one machine; each sees every charge and event. *)
 
 val detach : t -> unit
-(** Stop collecting: the charge hook is removed and the (irremovable) trace
-    subscription becomes a no-op. *)
+(** Stop collecting: the collector's observer is detached from the machine
+    (so with nothing else attached, [Machine.traced] is false again). *)
 
 val finish : t -> Timeline.t
 (** Seal the trailing segment (label ["tail"]) if any charge landed since

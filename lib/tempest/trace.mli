@@ -2,13 +2,13 @@
 
     The paper's results are explained entirely by *which cache blocks move
     between which nodes*; this module makes that stream observable.  Every
-    layer of the simulator publishes typed events onto a per-machine bus
-    ({!Machine.subscribe}): access faults, protocol messages with
+    layer of the simulator publishes typed events to the [event] hooks of
+    the machine's observers ({!Machine.observe}): access faults, protocol messages with
     source/destination/size/kind, per-node tag transitions, barriers, phase
     brackets, communication-schedule records and flushes, and presend legs.
 
-    The bus is zero-cost when nobody subscribes (emission sites are guarded
-    by an empty-subscriber check).  On top of it sit the JSONL sink used by
+    Emission is zero-cost when no [event] hook is attached (emission sites
+    are guarded by {!Machine.traced}).  On top of it sit the JSONL sink used by
     [repro --trace], the golden-trace regression tests, and the online
     invariant sanitizer ({!Ccdsm_proto.Sanitizer}). *)
 
@@ -33,7 +33,7 @@ val msg_kind_index : msg_kind -> int
 type event =
   | Init of { nodes : int; block_bytes : int }
       (** machine creation (emitted only to the global sink, which is the
-          only subscriber that can exist that early) *)
+          only observer that can exist that early) *)
   | Alloc of { first_block : int; blocks : int; home : int }
   | Fault of { node : int; block : int; write : bool }
       (** an access the tag did not permit, about to vector to the protocol *)

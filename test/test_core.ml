@@ -480,25 +480,26 @@ let presend_legs ~coalesce =
   let log = ref [] in
   let add fmt = Printf.ksprintf (fun l -> log := l :: !log) fmt in
   let at_barrier = ref false in
-  Machine.set_timeline m
-    (Some
-       {
-         Machine.tml_charge =
-           (fun ~node bucket ~us ->
-             if not !at_barrier then add "charge %d %s %h" node (Machine.bucket_name bucket) us);
-         tml_compute = (fun ~node:_ ~us:_ ~count:_ -> ());
-         tml_reset = ignore;
-       });
-  Machine.subscribe m (function
-    | Trace.Msg { src; dst; bytes; kind } ->
-        add "msg %d>%d %s %d" src dst (Trace.msg_kind_name kind) bytes
-    | Trace.Barrier _ ->
-        at_barrier := true;
-        for n = 0 to 69 do
-          let us = Machine.bucket_time m ~node:n Machine.Presend in
-          if us <> 0.0 then add "presend %d %h" n us
-        done
-    | _ -> ());
+  let (_ : unit -> unit) =
+    Machine.observe m
+      {
+        Machine.silent with
+        charge =
+          (fun ~node bucket ~us ->
+            if not !at_barrier then add "charge %d %s %h" node (Machine.bucket_name bucket) us);
+        event =
+          (function
+          | Trace.Msg { src; dst; bytes; kind } ->
+              add "msg %d>%d %s %d" src dst (Trace.msg_kind_name kind) bytes
+          | Trace.Barrier _ ->
+              at_barrier := true;
+              for n = 0 to 69 do
+                let us = Machine.bucket_time m ~node:n Machine.Presend in
+                if us <> 0.0 then add "presend %d %h" n us
+              done
+          | _ -> ());
+      }
+  in
   coh.Coherence.phase_begin ~phase:5;
   let st = Predictive.stats p in
   let c = Machine.total_counters m in

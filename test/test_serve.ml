@@ -432,6 +432,34 @@ let test_serve_oversize_line () =
       | [ r ] -> check Alcotest.bool "daemon still serves" true (contains r "\"status\":\"ok\"")
       | _ -> Alcotest.fail "one response expected")
 
+(* A connection the client has closed is closed by the daemon too, long
+   before [stop]: after 32 connect / request / close rounds the process
+   holds as many fds as it did before them. *)
+let test_serve_closes_ended_connections () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  with_server (fun _srv path ->
+      ignore (roundtrip path [ spec_line ]);
+      (* Readers notice end-of-stream within one 100 ms poll, so the warm-up
+         connection's daemon-side fd may still be open: count once two
+         readings 250 ms apart agree. *)
+      let rec steady n k =
+        Thread.delay 0.25;
+        let n' = open_fds () in
+        if n' = n || k = 0 then n' else steady n' (k - 1)
+      in
+      let before = steady (open_fds ()) 20 in
+      for _ = 1 to 32 do
+        ignore (roundtrip path [ spec_line ])
+      done;
+      let rec settle k =
+        if open_fds () > before && k > 0 then begin
+          Thread.delay 0.05;
+          settle (k - 1)
+        end
+      in
+      settle 100;
+      check Alcotest.int "fds back to the starting count" before (open_fds ()))
+
 let test_serve_trickled_request () =
   (* One request written a few bytes at a time still parses, and answers
      with the same result as the whole line. *)
@@ -577,6 +605,8 @@ let suite =
         Alcotest.test_case "serve queue full" `Quick test_serve_queue_full;
         Alcotest.test_case "serve oversize line closes" `Quick test_serve_oversize_line;
         Alcotest.test_case "serve trickled request" `Quick test_serve_trickled_request;
+        Alcotest.test_case "serve closes ended connections" `Quick
+          test_serve_closes_ended_connections;
         Alcotest.test_case "serve latency breakdown" `Quick test_serve_latency_breakdown;
         Alcotest.test_case "serve slow-log round-trip" `Quick test_serve_slow_log_roundtrip;
       ] );

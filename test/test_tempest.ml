@@ -3,6 +3,7 @@
 module Machine = Ccdsm_tempest.Machine
 module Network = Ccdsm_tempest.Network
 module Tag = Ccdsm_tempest.Tag
+module Trace = Ccdsm_tempest.Trace
 
 let check = Alcotest.check
 
@@ -194,6 +195,77 @@ let test_growth_256_nodes () =
   run ~traced:false;
   run ~traced:true
 
+(* An observer that sets only [access] sees every access, range words
+   included, but leaves the machine untraced: no event is built for it. *)
+let test_observer_access_only () =
+  let m = small () in
+  let _ = permissive m in
+  let a = Machine.alloc m ~words:16 ~home:0 in
+  let seen = ref [] in
+  let detach =
+    Machine.observe m
+      {
+        Machine.silent with
+        access = (fun ~node ~addr ~write -> seen := (node, addr - a, write) :: !seen);
+      }
+  in
+  Alcotest.(check bool) "access-only is untraced" false (Machine.traced m);
+  ignore (Machine.read m ~node:1 (a + 3));
+  Machine.write m ~node:2 (a + 5) 1.0;
+  Machine.read_range m ~node:3 (a + 2) (Array.make 6 0.0);
+  check
+    Alcotest.(list (triple int int bool))
+    "accesses in order"
+    ([ (1, 3, false); (2, 5, true) ] @ List.init 6 (fun k -> (3, 2 + k, false)))
+    (List.rev !seen);
+  let untrace = Machine.observe m { Machine.silent with event = ignore } in
+  Alcotest.(check bool) "event observer traces" true (Machine.traced m);
+  untrace ();
+  untrace ();
+  Alcotest.(check bool) "detached: untraced again" false (Machine.traced m);
+  detach ();
+  ignore (Machine.read m ~node:1 (a + 3));
+  check Alcotest.int "detached: no more accesses" 8 (List.length !seen)
+
+(* Observers receive each observation in attach order, and an exception
+   from a later observer still leaves the earlier one holding the event —
+   the model checker's recorder-before-sanitizer rule. *)
+let test_observer_attach_order () =
+  let m = small () in
+  let _ = permissive m in
+  let a = Machine.alloc m ~words:4 ~home:0 in
+  let log = ref [] in
+  let note who ev = log := (who, Trace.to_json ev) :: !log in
+  let (_ : unit -> unit) = Machine.observe m { Machine.silent with event = note "first" } in
+  let (_ : unit -> unit) =
+    Machine.observe m
+      {
+        Machine.silent with
+        event =
+          (fun ev ->
+            note "second" ev;
+            match ev with Trace.Fault _ -> failwith "violation" | _ -> ());
+      }
+  in
+  Machine.write m ~node:0 a 2.0;
+  Alcotest.check_raises "second observer raises" (Failure "violation") (fun () ->
+      ignore (Machine.read m ~node:1 a));
+  let log = List.rev !log in
+  Alcotest.(check bool) "events seen" true (List.length log >= 4);
+  let rec pairs = function
+    | ("first", e1) :: ("second", e2) :: rest -> e1 = e2 && pairs rest
+    | [] -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "first then second, every event" true (pairs log);
+  let block = Machine.block_of m a in
+  let fault = Trace.to_json (Trace.Fault { node = 1; block; write = false }) in
+  check
+    Alcotest.(list (pair string string))
+    "both saw the raising fault, the first one first"
+    [ ("first", fault); ("second", fault) ]
+    (List.filteri (fun i _ -> i >= List.length log - 2) log)
+
 let test_network_costs () =
   let n = Network.default in
   check (Alcotest.float 1e-9) "msg cost"
@@ -223,6 +295,8 @@ let suite =
         Alcotest.test_case "growth preserves state" `Quick test_growth;
         Alcotest.test_case "growth at 256 nodes, traced and untraced" `Quick
           test_growth_256_nodes;
+        Alcotest.test_case "access-only observer is untraced" `Quick test_observer_access_only;
+        Alcotest.test_case "observers in attach order" `Quick test_observer_attach_order;
         Alcotest.test_case "network costs" `Quick test_network_costs;
       ] );
   ]

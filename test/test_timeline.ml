@@ -23,6 +23,8 @@ module Timeline = Ccdsm_obs.Timeline
 module Runtime = Ccdsm_runtime.Runtime
 module L = Ccdsm_harness.Latency
 module PC = Ccdsm_harness.Predict_check
+module Profile = Ccdsm_rdist.Profile
+module Shared_heap = Ccdsm_runtime.Shared_heap
 
 let check = Alcotest.check
 
@@ -223,6 +225,70 @@ let test_collector_causal () =
       roundtrip_or_fail tl)
     [ Runtime.Stache; Runtime.Predictive ]
 
+(* Two collectors on one run each see every charge and event: both are
+   exact and their timelines are the same bytes.  Detaching them leaves the
+   machine untraced, so it builds no more events. *)
+let test_collector_detach () =
+  let a = List.find (fun a -> a.PC.app_name = "jacobi") (PC.apps ()) in
+  let cfg = Machine.default_config ~num_nodes:a.PC.app_nodes ~block_bytes:32 () in
+  let rt = Runtime.create ~cfg ~protocol:Runtime.Predictive () in
+  let m = Runtime.machine rt in
+  let c1 = Timecap.attach m in
+  let c2 = Timecap.attach m in
+  a.PC.app_run rt;
+  let j1 = Timeline.to_jsonl (Timecap.finish c1) and j2 = Timeline.to_jsonl (Timecap.finish c2) in
+  Alcotest.(check bool) "first exact" true (Timecap.check c1 = []);
+  Alcotest.(check bool) "second exact" true (Timecap.check c2 = []);
+  check Alcotest.string "same timeline bytes" j1 j2;
+  Timecap.detach c1;
+  Alcotest.(check bool) "still traced for the second" true (Machine.traced m);
+  Timecap.detach c2;
+  Alcotest.(check bool) "untraced after detach" false (Machine.traced m)
+
+(* Observers compose: the sanitizer, the profile collector and a timeline
+   collector attached to one jacobi run each produce exactly what they
+   produce alone, and the run itself is the bare run. *)
+let test_observers_compose () =
+  let a = List.find (fun a -> a.PC.app_name = "jacobi") (PC.apps ()) in
+  let run ~sanitize ~profile ~timeline =
+    let cfg = Machine.default_config ~num_nodes:a.PC.app_nodes ~block_bytes:32 () in
+    let rt = Runtime.create ~cfg ~sanitize ~protocol:Runtime.Predictive () in
+    let m = Runtime.machine rt in
+    let cap = if timeline then Some (Timecap.attach m) else None in
+    let go () = a.PC.app_run rt in
+    let prof =
+      if profile then
+        let p, () =
+          Profile.collect ~app:"jacobi" ~protocol:"predictive"
+            ~arena_blocks:(Shared_heap.arena_blocks (Runtime.heap rt))
+            m go
+        in
+        Profile.to_json p
+      else (go (); "")
+    in
+    let tl =
+      match cap with
+      | None -> ""
+      | Some c ->
+          let tl = Timeline.to_jsonl (Timecap.finish c) in
+          Alcotest.(check bool) "timeline exact" true (Timecap.check c = []);
+          tl
+    in
+    let words = Machine.num_blocks m * Machine.words_per_block m in
+    let heap = List.init words (fun w -> Printf.sprintf "%h" (Machine.peek m w)) in
+    (prof, tl, Digest.to_hex (Digest.string (String.concat "," heap)), Machine.total_counters m)
+  in
+  let prof, tl, heap, ctr = run ~sanitize:true ~profile:true ~timeline:true in
+  let prof1, _, _, _ = run ~sanitize:false ~profile:true ~timeline:false in
+  let _, tl1, _, _ = run ~sanitize:false ~profile:false ~timeline:true in
+  let _, _, heap0, ctr0 = run ~sanitize:false ~profile:false ~timeline:false in
+  Alcotest.(check bool) "profile collected" true (String.length prof > 0);
+  check Alcotest.string "profile = profile-only run" prof1 prof;
+  Alcotest.(check bool) "timeline collected" true (String.length tl > 0);
+  check Alcotest.string "timeline = timeline-only run" tl1 tl;
+  check Alcotest.string "heap checksum = bare run" heap0 heap;
+  Alcotest.(check bool) "counters = bare run" true (ctr = ctr0)
+
 (* Arbitrary byte strings, weighted towards the bytes a JSON writer must
    escape and bytes >= 0x80. *)
 let any_string =
@@ -338,5 +404,8 @@ let suite =
         Alcotest.test_case "grid rejects unknown names" `Quick test_grid_unknown_names;
         Alcotest.test_case "fig. 8 shape on jacobi" `Slow test_fig8_shape;
         Alcotest.test_case "timeline_run report" `Quick test_timeline_run_report;
+        Alcotest.test_case "two collectors, then detach" `Quick test_collector_detach;
+        Alcotest.test_case "sanitizer, profile and timeline compose" `Quick
+          test_observers_compose;
       ] );
   ]
